@@ -25,7 +25,7 @@ from .cmpfun import (
     exact_inverse,
     scale,
 )
-from .errors import CertificateError
+from .errors import CertificateError, ParameterError
 from .sysdsl import SysModel
 
 _E = math.e
@@ -325,7 +325,7 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float, dist_box=None) -> fl
     factor is an exact exponential), so it is evaluated in closed form.
     """
     if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+        raise ParameterError(f"time must be nonnegative, got {t}")
     if t == 0.0 or kit.l_sigma == 0.0:
         return 0.0
     wbox = sys.dist_box if dist_box is None else dist_box
@@ -353,7 +353,7 @@ def neighbor_drift_bound(neighbor_models, t: float) -> float:
     Grows from zero with t; identically zero without neighbours.
     """
     if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+        raise ParameterError(f"time must be nonnegative, got {t}")
     models = list(neighbor_models)
     if not models or t == 0.0:
         return 0.0
@@ -368,9 +368,9 @@ def neighbor_drift_bound(neighbor_models, t: float) -> float:
 def increment_constant(sys: SysModel, a_second_moment: float, tau: float) -> float:
     """C with E[ |xi(t) - xi(s)|_2^2 ] <= C |t - s| on [0, tau]."""
     if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+        raise ParameterError(f"tau must be nonnegative, got {tau}")
     if a_second_moment < 0:
-        raise ValueError("second moment cannot be negative")
+        raise ParameterError("second moment cannot be negative")
     alpha = sys.growth_k + 2.0 * math.sqrt(sys.growth_k)
     return 2.0 * (1.0 + a_second_moment) * (tau + 1.0) * math.exp(alpha * tau)
 
@@ -389,7 +389,7 @@ def precision_lower_bound(
     omega in pitch_upper_bound.
     """
     if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise ParameterError(f"tau must be positive, got {tau}")
     k = kit.kappa
     h = noise_gap_bound(kit, sys, tau, dist_box=dist_box)
     num = kit.sigma_d(psi_tau + eps_tilde_norm) / (_E * k) + kit.v_modulus(math.sqrt(h))
@@ -430,11 +430,11 @@ def pitch_terms(
 ) -> dict:
     """Every term of the pitch condition, for reporting and search."""
     if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise ParameterError(f"tau must be positive, got {tau}")
     if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise ParameterError(f"eps must be positive, got {eps}")
     if omega < 0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
+        raise ParameterError(f"omega must be nonnegative, got {omega}")
     k = kit.kappa
     low_val = kit.alpha_low(eps**2)
     cap_term = kit.alpha_high.invert(low_val)

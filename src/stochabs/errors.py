@@ -39,6 +39,10 @@ class InversionError(StochabsError):
     """A gain function cannot be inverted at the requested value."""
 
 
+class ParameterError(StochabsError, ValueError):
+    """A numeric parameter (sampling period, pitch, precision) is out of range."""
+
+
 class AbstractionError(StochabsError):
     """Abstraction construction failed: size cap, integration accuracy, wiring."""
 

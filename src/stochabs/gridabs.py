@@ -7,6 +7,12 @@ points within eta (per axis) of the noise-free endpoint after one
 sampling period, so the transition map is set valued with at most 2^n
 successors per triple.
 
+The nominal flow is one batched RK4 kernel: build_abstraction integrates
+every (state, input, disturbance) cell at once, in chunks of FLOW_CHUNK
+cells, and each cell still gets exactly the endpoint, escaped flag and
+substep count it would get integrated alone.  workers > 1 maps the
+chunks to a process pool.
+
 Serialization is a plain text format with a content hash; building is
 deterministic and byte-identical across worker counts.
 """
@@ -22,7 +28,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .errors import AbstractionError, FormatError
+from .errors import AbstractionError, FormatError, ParameterError
 from .sysdsl import SysModel, check_equilibrium
 
 #: Absolute slack on lattice membership and successor tests; prevents
@@ -30,6 +36,10 @@ from .sysdsl import SysModel, check_equilibrium
 GEOM_SLACK = 1e-9
 
 FORMAT_HEADER = "STOCHABS v1"
+
+#: Cells integrated together by build_abstraction; bounds the flow
+#: kernel's working arrays whatever the abstraction size.
+FLOW_CHUNK = 8192
 
 
 def _g17(x: float) -> str:
@@ -101,12 +111,6 @@ class Lattice:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.kmin, self.kmax)]
         return [self.coords(kvec) for kvec in itertools.product(*ranges)]
 
-    def index_of_k(self, kvec):
-        idx = 0
-        for k, lo, cnt in zip(kvec, self.kmin, self.axis_counts):
-            idx = idx * cnt + (k - lo)
-        return idx
-
     def quantize_k(self, point):
         """Nearest lattice indices; exact midpoints round toward +infinity."""
         out = []
@@ -158,6 +162,8 @@ def snap_state_pitch(domain, target) -> tuple:
     Searches spacings of the form width/q; raises when no aligned spacing
     exists within a generous search range (re-centre the domain then).
     """
+    if not target > 0:
+        raise ParameterError(f"state pitch eta must be positive, got {target}")
     out = []
     for lo, hi in domain:
         width = hi - lo
@@ -201,26 +207,48 @@ def input_lattice(input_box, omega) -> Lattice:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """Flow of one state (endpoint (n,), 0-d flags) or of a batch of cells
+    (endpoint (n, *cells), escaped and substeps of shape cells)."""
+
     endpoint: np.ndarray
-    escaped: bool  # left the inflated working box mid-trajectory
-    substeps: int
+    escaped: np.ndarray  # left the inflated working box mid-trajectory
+    substeps: np.ndarray
 
 
-def _rk4(sys, x0, u, w, tau, steps, inflated):
-    x = np.asarray(x0, float).copy()
+def _cell_values(v, dim, count):
+    """One vector shared by all cells, or per-cell values, as (dim, count)."""
+    v = np.zeros(dim) if v is None else np.asarray(v, float)
+    if v.ndim <= 1:
+        v = np.broadcast_to(np.atleast_1d(v)[:, None], (dim, count))
+    return np.ascontiguousarray(v.reshape(dim, count))
+
+
+def _integrate(sys, x, u, w, tau, steps, lo, hi):
+    """steps fixed RK4 steps for every column of x.
+
+    A column that turns non-finite stops stepping there and counts as
+    escaped; the drift is never evaluated at its later points.
+    """
+    out = np.empty_like(x)
+    escaped = np.zeros(x.shape[1], bool)
+    live = np.arange(x.shape[1])
+    esc = escaped.copy()
     h = tau / steps
-    escaped = False
     for _ in range(steps):
         k1 = sys.drift_eval(x, u, w)
         k2 = sys.drift_eval(x + 0.5 * h * k1, u, w)
         k3 = sys.drift_eval(x + 0.5 * h * k2, u, w)
         k4 = sys.drift_eval(x + h * k3, u, w)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            return x, True
-        if np.any(x < inflated[:, 0]) or np.any(x > inflated[:, 1]):
-            escaped = True
-    return x, escaped
+        esc |= ((x < lo) | (x > hi)).any(axis=0)
+        if not np.isfinite(x).all():
+            finite = np.isfinite(x).all(axis=0)
+            out[:, live], escaped[live] = x, esc | ~finite
+            live, x, esc, u, w = live[finite], x[:, finite], esc[finite], u[:, finite], w[:, finite]
+            if not live.size:
+                return out, escaped
+    out[:, live], escaped[live] = x, esc
+    return out, escaped
 
 
 def flow_nominal(
@@ -236,31 +264,56 @@ def flow_nominal(
 ) -> FlowResult:
     """Integrate the noise-free dynamics over [0, tau] with fixed-step RK4.
 
-    The step count doubles until the step-doubling error estimate drops
-    below tol; fixed steps keep results reproducible across platforms.
-    A trajectory leaving the domain inflated by domain_margin (fraction
-    of the box width per side) is flagged escaped, not an error.
+    x0 is one state (n,) or a batch of cells (n, *cells); u and w are one
+    vector for all cells (or None for zero) or per-cell arrays (m, *cells)
+    and (p, *cells).  Each cell doubles its step count until its
+    step-doubling error estimate drops below tol, then stops; fixed steps
+    keep results reproducible across platforms, and a cell's result does
+    not depend on the batch it is in.  A trajectory leaving the domain
+    inflated by domain_margin (fraction of the box width per side) is
+    flagged escaped, not an error.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    x0 = np.asarray(x0, float)
+    cells = x0.shape[1:]
+    x0 = np.ascontiguousarray(x0.reshape(sys.n, -1))
+    count = x0.shape[1]
+    u = _cell_values(u, sys.m, count)
+    w = _cell_values(w, sys.p, count)
     box = sys.domain_array()
     width = box[:, 1] - box[:, 0]
-    inflated = np.column_stack([box[:, 0] - domain_margin * width, box[:, 1] + domain_margin * width])
-    u = np.zeros(sys.m) if u is None else np.atleast_1d(np.asarray(u, float))
-    w = np.zeros(sys.p) if w is None else np.atleast_1d(np.asarray(w, float))
+    lo = (box[:, 0] - domain_margin * width)[:, None]
+    hi = (box[:, 1] + domain_margin * width)[:, None]
+
+    endpoint = np.empty_like(x0)
+    escaped = np.zeros(count, bool)
+    taken = np.zeros(count, np.int64)
+    todo = np.arange(count)
     steps = substeps
-    coarse, _ = _rk4(sys, x0, u, w, tau, steps, inflated)
+    coarse, _ = _integrate(sys, x0, u, w, tau, steps, lo, hi)
     while True:
-        fine, escaped = _rk4(sys, x0, u, w, tau, 2 * steps, inflated)
-        err = float(np.abs(coarse - fine).max()) if np.all(np.isfinite(fine)) else math.inf
-        if err <= tol:
-            return FlowResult(endpoint=fine, escaped=escaped, substeps=2 * steps)
+        fine, esc = _integrate(sys, x0, u, w, tau, 2 * steps, lo, hi)
+        ok = np.isfinite(fine).all(axis=0)
+        err = np.full(todo.size, math.inf)
+        err[ok] = np.abs(coarse[:, ok] - fine[:, ok]).max(axis=0)
+        done = err <= tol
+        endpoint[:, todo[done]] = fine[:, done]
+        escaped[todo[done]] = esc[done]
+        taken[todo[done]] = 2 * steps
+        if done.all():
+            break
+        todo, x0, u, w, coarse = todo[~done], x0[:, ~done], u[:, ~done], w[:, ~done], fine[:, ~done]
         steps *= 2
         if 2 * steps > max_substeps:
             raise AbstractionError(
                 f"flow integration did not reach tolerance {tol} within {max_substeps} substeps"
             )
-        coarse = fine
+    return FlowResult(
+        endpoint=endpoint.reshape(sys.n, *cells),
+        escaped=escaped.reshape(cells),
+        substeps=taken.reshape(cells),
+    )
 
 
 @dataclass
@@ -354,7 +407,13 @@ def deserialize(text: str) -> FiniteAbstraction:
     stated = lines[-1].split()[1]
     if digest != stated:
         raise FormatError("content hash mismatch (file corrupted?)")
+    try:
+        return _parse_body(lines)
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"malformed abstraction file: {exc}") from None
 
+
+def _parse_body(lines) -> FiniteAbstraction:
     pos = 1
 
     def take():
@@ -377,9 +436,8 @@ def deserialize(text: str) -> FiniteAbstraction:
         node_names = tuple(p[0] for p in pairs)
         node_dims = tuple(int(p[1]) for p in pairs)
         external = tuple(toks[cut + 1 :])
-    line = take()
-    toks = line.split()
-    if toks[0] != "tau":
+    toks = take().split()
+    if not toks or toks[0] != "tau":
         raise FormatError("missing tau line")
     i_eta = toks.index("eta")
     i_om = toks.index("omega")
@@ -467,33 +525,56 @@ def _init_worker(payload):
     _WORKER_CTX["payload"] = payload
 
 
-def _successors(grid: Lattice, endpoint, eta):
-    ranges = []
-    for v, h, klo, khi in zip(endpoint, eta, grid.kmin, grid.kmax):
-        lo = max(math.ceil((v - h - GEOM_SLACK) / (2.0 * h)), klo)
-        hi = min(math.floor((v + h + GEOM_SLACK) / (2.0 * h)), khi)
-        if lo > hi:
-            return ()
-        ranges.append(range(lo, hi + 1))
-    return tuple(sorted(grid.index_of_k(k) for k in itertools.product(*ranges)))
+def _transition_rows(grid: Lattice, box, endpoint, escaped):
+    """(successors, out-of-domain flag) for each column of endpoint.
 
-
-def _state_rows(payload, si):
-    sys, grid, states, inputs, dists, tau, substeps, tol = payload
-    box = sys.domain_array()
-    rows = []
-    x = states[si]
-    for ui, u in enumerate(inputs):
-        for di, w in enumerate(dists):
-            res = flow_nominal(sys, x, u, w, tau, substeps=substeps, tol=tol)
-            e = res.endpoint
-            ood = res.escaped or bool(np.any(e < box[:, 0] - GEOM_SLACK) or np.any(e > box[:, 1] + GEOM_SLACK))
-            rows.append(((si, ui, di), (_successors(grid, e, grid.pitch), ood)))
+    The successors of an endpoint are the lattice points within one pitch
+    of it on every axis (up to GEOM_SLACK), in ascending index order.
+    """
+    h = np.array(grid.pitch)[:, None]
+    kmin = np.array(grid.kmin)[:, None]
+    klo = np.maximum(np.ceil((endpoint - h - GEOM_SLACK) / (2.0 * h)), kmin)
+    khi = np.minimum(np.floor((endpoint + h + GEOM_SLACK) / (2.0 * h)), np.array(grid.kmax)[:, None])
+    hit = (klo <= khi).all(axis=0)
+    # offsets from kmin and range lengths - 1; a cell without successors
+    # gets span -1 so that no offset pattern below is valid for it
+    first = np.where(hit, klo - kmin, 0).astype(np.int64)
+    span = np.where(hit, khi - klo, -1).astype(np.int64)
+    counts = grid.axis_counts
+    stride = np.array([math.prod(counts[a + 1 :]) for a in range(grid.dim)])[:, None]
+    base = (first * stride).sum(axis=0)
+    widest = span.max(axis=1, initial=0)
+    succ, valid = [], []
+    # row-major patterns: valid ones come out in ascending index order
+    for pattern in itertools.product(*(range(m + 1) for m in widest)):
+        j = np.array(pattern)[:, None]
+        succ.append(base + (j * stride).sum(axis=0))
+        valid.append((j <= span).all(axis=0))
+    succ, valid = np.stack(succ, axis=1), np.stack(valid, axis=1)
+    ood = (
+        escaped
+        | (endpoint < box[:, :1] - GEOM_SLACK).any(axis=0)
+        | (endpoint > box[:, 1:] + GEOM_SLACK).any(axis=0)
+    )
+    flat = succ[valid].tolist()
+    rows, at = [], 0
+    for stop, flag in zip(np.cumsum(valid.sum(axis=1)).tolist(), ood.tolist()):
+        rows.append((tuple(flat[at:stop]), flag))
+        at = stop
     return rows
 
 
-def _state_rows_worker(si):
-    return _state_rows(_WORKER_CTX["payload"], si)
+def _flow_chunk(payload, bounds):
+    """Endpoints and escaped flags of the cells with flat index in [start, stop)."""
+    sys, states, inputs, dists, tau, substeps, tol = payload
+    si, rest = np.divmod(np.arange(*bounds), len(inputs) * len(dists))
+    ui, di = np.divmod(rest, len(dists))
+    res = flow_nominal(sys, states[si].T, inputs[ui].T, dists[di].T, tau, substeps=substeps, tol=tol)
+    return res.endpoint, res.escaped
+
+
+def _flow_chunk_worker(bounds):
+    return _flow_chunk(_WORKER_CTX["payload"], bounds)
 
 
 def build_abstraction(
@@ -521,8 +602,12 @@ def build_abstraction(
     certificate and eps are supplied, eta is validated against the pitch
     bound unless force is set (then a warning is emitted).
     """
+    if not tau > 0:
+        raise ParameterError(f"sampling period tau must be positive, got {tau}")
     check_equilibrium(sys)
     grid = Lattice.create(sys.domain, eta)
+    if min(grid.pitch) <= 0.0:
+        raise ParameterError(f"state pitch eta must be positive on every axis, got {grid.pitch}")
     if not grid.covers():
         raise AbstractionError(
             "state lattice does not cover the domain; snap the pitch with snap_state_pitch"
@@ -569,17 +654,29 @@ def build_abstraction(
 
     states = tuple(grid.points())
     tol = min(eta_t) / 10.0
-    payload = (sys, grid, states, inputs, dists, tau, substeps, tol)
-    transitions = {}
-    if workers <= 1:
-        for si in range(len(states)):
-            for key, val in _state_rows(payload, si):
-                transitions[key] = val
+    payload = (
+        sys,
+        np.array(states, float).reshape(len(states), sys.n),
+        np.array(inputs, float).reshape(len(inputs), sys.m),
+        np.array(dists, float).reshape(len(dists), sys.p),
+        tau,
+        substeps,
+        tol,
+    )
+    box = sys.domain_array()
+    keys = itertools.product(range(len(states)), range(len(inputs)), range(len(dists)))
+    bounds = [(a, min(a + FLOW_CHUNK, cells)) for a in range(0, cells, FLOW_CHUNK)]
+
+    def rows(flows):
+        for endpoint, escaped in flows:
+            yield from _transition_rows(grid, box, endpoint, escaped)
+
+    procs = min(workers, len(bounds))
+    if procs <= 1:
+        transitions = dict(zip(keys, rows(_flow_chunk(payload, b) for b in bounds)))
     else:
-        with Pool(workers, initializer=_init_worker, initargs=(payload,)) as pool:
-            for rows in pool.map(_state_rows_worker, range(len(states))):
-                for key, val in rows:
-                    transitions[key] = val
+        with Pool(procs, initializer=_init_worker, initargs=(payload,)) as pool:
+            transitions = dict(zip(keys, rows(pool.imap(_flow_chunk_worker, bounds))))
 
     return FiniteAbstraction(
         system=sys.name,

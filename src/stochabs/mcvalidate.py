@@ -108,7 +108,9 @@ def simulate_ensemble(
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         count = stop - start
-        z = np.stack([_path_noise(seed, k, steps, sys.r) for k in range(start, stop)])
+        z = np.empty((count, steps, sys.r))
+        for k in range(count):
+            z[k] = _path_noise(seed, start + k, steps, sys.r)
         states = []
         for ci, (cx, cu, cw) in enumerate(configs):
             xs = _constant_rows(cx, sys.n, n_paths)[start:stop].copy()

@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import re
 
 import pytest
 
@@ -127,3 +129,40 @@ def test_validate_and_report(tmp_path, capsys):
 def test_report_empty_dir(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert "no CSV reports" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pattern,repl",
+    [(r"^(tau \S+) eta \S+", r"\1"), (r"^states 5$", "states five")],
+    ids=["tau-line-without-eta", "non-integer-count"],
+)
+def test_bisim_malformed_abs_is_usage_error(pattern, repl, tmp_path, capsys):
+    out = tmp_path / "abs"
+    assert main(["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--out", str(out)]) == 0
+    text = (out / "scalar1.abs").read_text()
+    body = text[: text.rindex("hash ")]
+    bad_body = re.sub(pattern, repl, body, count=1, flags=re.M)
+    assert bad_body != body
+    bad = tmp_path / "bad.abs"
+    bad.write_text(bad_body + f"hash {hashlib.sha256(bad_body.encode()).hexdigest()}\n")
+    assert main(["bisim", str(bad), str(bad), "--eps", "0.1"]) == 2
+    assert "malformed abstraction file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "-0.1"],
+        ["params", SCALAR, "--tau", "0", "--eps", "3.2"],
+        ["abstract", SCALAR, "--tau", "-0.5", "--eta", "0.25", "--eps", "1"],
+        ["abstract", SCALAR, "--tau", "-0.5", "--eta", "0.25"],
+    ],
+    ids=["abstract-eta-zero", "abstract-eta-negative", "params-tau-zero",
+         "abstract-tau-negative-eps", "abstract-tau-negative"],
+)
+def test_nonpositive_tau_or_eta_is_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "abstract":
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from stochabs import gridabs
+from stochabs import gridabs, netcomp, sysdsl
 from stochabs.errors import AbstractionError, FormatError, ModelError
-from stochabs.expr import Bin, Lit, Neg, Var
+from stochabs.expr import Bin, Call, Lit, Neg, Var
 from stochabs.gridabs import (
     FiniteAbstraction,
     Lattice,
@@ -18,6 +19,7 @@ from stochabs.gridabs import (
     snap_state_pitch,
 )
 from stochabs.sysdsl import SysModel
+from tests.conftest import DATA
 
 
 def test_quantize_examples():
@@ -124,6 +126,13 @@ def test_boundary_tie_includes_both():
     si = a.states.index((0.5,))
     succ, _ = a.transitions[(si, 0, 0)]
     assert succ == (a.states.index((0.0,)), a.states.index((0.5,)))
+    # in 2-D a tie on both axes gives four successors, in index order
+    plane = _autonomous([Neg(Var("x", 1)), Neg(Var("x", 2))], n=2)
+    b = build_abstraction(plane, math.log(2.0), 0.25, 0.0)
+    succ, _ = b.transitions[(b.states.index((0.5, 0.5)), 0, 0)]
+    assert succ == tuple(b.states.index(p) for p in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)))
+    succ, _ = b.transitions[(b.states.index((-1.0, 0.5)), 0, 0)]
+    assert succ == tuple(b.states.index(p) for p in ((-0.5, 0.0), (-0.5, 0.5)))
 
 
 def test_successor_counts_in_range(scalar_model):
@@ -212,7 +221,9 @@ def test_empty_abstraction_roundtrip():
     assert deserialize(text) == empty
 
 
-def test_worker_determinism(scalar_model):
+def test_worker_determinism(scalar_model, monkeypatch):
+    # small chunks, so that the pool has several chunks to map
+    monkeypatch.setattr(gridabs, "FLOW_CHUNK", 10)
     texts = []
     for workers in (1, 2, 8):
         a = build_abstraction(scalar_model, 0.5, 0.125, 0.05, workers=workers)
@@ -220,3 +231,101 @@ def test_worker_determinism(scalar_model):
     assert texts[0] == texts[1] == texts[2]
     again = build_abstraction(scalar_model, 0.5, 0.125, 0.05)
     assert again.serialize() == texts[0]
+    monkeypatch.undo()
+    assert build_abstraction(scalar_model, 0.5, 0.125, 0.05).serialize() == texts[0]
+
+
+# content_hash() of build_abstraction output, computed with the per-cell
+# flow that the batched kernel replaced: the kernel must reproduce every
+# endpoint, escaped flag and successor set bit for bit
+PINNED_HASHES = {
+    ("scalar", 0.25, 0.1): "791f0a6d322ee3053f9a90f848ecb2878aae60b6055ad7134853e773c2a0d6e1",
+    ("scalar", 0.0625, 0.05): "b163e50eeaaa1d436b56fa800d63f76687e5421557df624a5aba0a32a5a04128",
+    ("node", 0.25, 0.1): "6dc1649569760fa82b5baefddc423cfae68de34927d7cb6c1fa34f9acad5211d",
+    ("node", 0.0625, 0.05): "4d9ba218a6a1c0fa9dd61f4fb0e6c5ad529434ba0aad10c084bf039dc46dfb8e",
+    ("head", 0.25, 0.1): "e8c169d3a9835c0ee91e423f16ec04f51f6e77617d15a6246768b74ea423402a",
+    ("head", 0.0625, 0.05): "73ea9ef6cb31d71d52ff931ad4c8eb1e8382b6118b8dd53541fb26f11c7859b0",
+    ("sink2", 0.25, 0.1): "6e35b47fc23cebaf9c457c6b6c8ff1a9562059ab8c10a04c4c2ea0bf66b2fd8a",
+    ("sink2", 0.0625, 0.05): "75f84a6e20732d8875b3184e24ecab28676585543f92aec8137796910f1b2417",
+    ("scalar_det", 0.25, 0.1): "8eba264f93fb6c7a21db38e916b3881e1f8e6a9ba84136c9781488bf6c5246f2",
+    ("scalar_det", 0.0625, 0.05): "fddc80c2f9f5f8fc01df3f8723baec84f569cbdc973798c77db12e81145d99c6",
+}
+PAIR_NET_HASH = "51dadd4c4c29c1392824e677b207ab343c3d0223d9d975187f9a852e1c0ea2ba"
+
+
+def _corner_dists(model):
+    """Every combination of (lo, 0, hi) over the disturbance axes."""
+    if model.p == 0:
+        return None
+    return list(itertools.product(*[(lo, 0.0, hi) for lo, hi in model.dist_box]))
+
+
+@pytest.mark.parametrize("name,eta,omega", list(PINNED_HASHES))
+def test_pinned_abstraction_hashes(name, eta, omega):
+    model = sysdsl.load(DATA / f"{name}.sys")
+    a = build_abstraction(model, 0.5, eta, omega, dists=_corner_dists(model))
+    assert a.content_hash() == PINNED_HASHES[(name, eta, omega)]
+
+
+def test_pinned_nonlinear_2d_hash():
+    a = build_abstraction(_quadratic_2d(), 0.5, 0.125, 0.0)
+    assert a.content_hash() == "0ced2cac92d3fbb6ef7f56a72479ebd07fe057f6b9132aeeedcb9161c536362f"
+
+
+def test_pinned_composed_pair_hash(pair_net):
+    res = netcomp.synthesize_params(pair_net)
+    etas = {i: node.eta for i, node in enumerate(res.nodes)}
+    omegas = {i: node.omega for i, node in enumerate(res.nodes)}
+    parts = [netcomp.build_node_abstraction(pair_net, i, etas, omegas) for i in range(2)]
+    assert netcomp.compose_abstractions(pair_net, parts).content_hash() == PAIR_NET_HASH
+
+
+def _quadratic_2d():
+    # x1' = x1^2 - x2, x2' = tanh(x1) - x2: cells near the origin converge
+    # at few substeps, cells near x1 = 1 need many or leave the box
+    x1, x2 = Var("x", 1), Var("x", 2)
+    return _autonomous([Bin("-", Bin("*", x1, x1), x2), Bin("-", Call("tanh", x1), x2)], n=2)
+
+
+class _CountingModel:
+    """Forwards to a model and counts the points its drift is evaluated at."""
+
+    def __init__(self, model):
+        self.model = model
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def drift_eval(self, x, u, w):
+        self.points += x[0].size
+        return self.model.drift_eval(x, u, w)
+
+
+def test_flow_batch_matches_single():
+    g = np.linspace(-1.0, 1.0, 9)
+    x0 = np.array(np.meshgrid(g, g, indexing="ij"))
+    batch_model = _CountingModel(_quadratic_2d())
+    batch = flow_nominal(batch_model, x0, None, None, 0.5, substeps=2, max_substeps=1 << 12)
+    assert batch.endpoint.shape == (2, 9, 9)
+    assert len(np.unique(batch.substeps)) >= 2
+    assert batch.escaped.any() and not batch.escaped.all()
+    single_model = _CountingModel(_quadratic_2d())
+    for i, j in np.ndindex(9, 9):
+        one = flow_nominal(single_model, x0[:, i, j], None, None, 0.5, substeps=2, max_substeps=1 << 12)
+        assert np.array_equal(one.endpoint, batch.endpoint[:, i, j])
+        assert one.escaped == batch.escaped[i, j]
+        assert one.substeps == batch.substeps[i, j]
+    # converged cells are not stepped further
+    assert batch_model.points == single_model.points
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_blowup_raises():
+    # from (1, -1) the x1^2 term blows up well before tau = 3, while the
+    # other two cells converge
+    x0 = np.array([[0.0, 1.0, 0.2], [0.0, -1.0, 0.1]])
+    with pytest.raises(AbstractionError, match="tolerance"):
+        flow_nominal(_quadratic_2d(), x0, None, None, 3.0, max_substeps=256)
+    with pytest.raises(AbstractionError, match="tolerance"):
+        flow_nominal(_quadratic_2d(), x0[:, 1], None, None, 3.0, max_substeps=256)
