@@ -122,6 +122,10 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
     """Verify that rel is a disturbance bisimulation between s1 and s2."""
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
+    n1, n2 = len(s1.states), len(s2.states)
+    outside = [(i, j) for (i, j) in rel.pairs if not (0 <= i < n1 and 0 <= j < n2)]
+    if outside:
+        raise FormatError(f"relation pair {min(outside)} is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     for (i, j) in sorted(rel.pairs):

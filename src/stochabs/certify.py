@@ -26,7 +26,7 @@ from .cmpfun import (
     scale,
 )
 from .errors import CertificateError, ParameterError
-from .sysdsl import SysModel
+from .sysdsl import SysModel, sample_box
 
 _E = math.e
 
@@ -128,9 +128,9 @@ def _affine_parts(sys: SysModel, rng):
         else np.zeros((sys.n, 0))
     )
     for _ in range(32):
-        x = _rand_box(rng, sys.domain)
-        u = _rand_box(rng, sys.input_box)
-        w = _rand_box(rng, sys.dist_box)
+        x = sample_box(rng, sys.domain)
+        u = sample_box(rng, sys.input_box)
+        w = sample_box(rng, sys.dist_box)
         f = sys.drift_eval(x, u, w)
         lin = a @ x + b @ u + e @ w + c
         if np.abs(f - lin).max() > 1e-9 * (1.0 + np.abs(f).max()):
@@ -148,7 +148,7 @@ def _linear_diffusion(sys: SysModel, rng):
     for k in range(sys.r):
         gs.append(np.column_stack([cols[j][:, k] for j in range(sys.n)]))
     for _ in range(32):
-        x = _rand_box(rng, sys.domain)
+        x = sample_box(rng, sys.domain)
         s = sys.diffusion_eval(x)
         lin = np.column_stack([g @ x for g in gs]) if gs else np.zeros((sys.n, 0))
         if np.abs(s - lin).max() > 1e-9 * (1.0 + np.abs(s).max()):
@@ -160,14 +160,6 @@ def _unit(n, j):
     v = np.zeros(n)
     v[j] = 1.0
     return v
-
-
-def _rand_box(rng, box, count=None):
-    box = np.asarray(box, float).reshape(-1, 2)
-    lo, hi = box[:, 0], box[:, 1]
-    if count is None:
-        return lo + (hi - lo) * rng.random(box.shape[0])
-    return lo[:, None] + (hi - lo)[:, None] * rng.random((box.shape[0], count))
 
 
 def verify_certificate(
@@ -203,10 +195,10 @@ def verify_certificate(
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
 
-    x = _rand_box(rng, sys.domain, samples)
-    x2 = _rand_box(rng, sys.domain, samples)
-    u = _rand_box(rng, sys.input_box, samples)
-    w = _rand_box(rng, sys.dist_box, samples)
+    x = sample_box(rng, sys.domain, samples)
+    x2 = sample_box(rng, sys.domain, samples)
+    u = sample_box(rng, sys.input_box, samples)
+    w = sample_box(rng, sys.dist_box, samples)
     d = x - x2
     df = sys.drift_eval(x, u, w) - sys.drift_eval(x2, u, w)
     quad = np.einsum("is,ij,js->s", d, cert.p, df)

@@ -481,7 +481,8 @@ def _parse_body(lines) -> FiniteAbstraction:
     if len(toks) != 2 or toks[0] != "transitions":
         raise FormatError("missing transitions section")
     transitions = {}
-    for _ in range(int(toks[1])):
+    count = int(toks[1])
+    for _ in range(count):
         parts = take().split()
         if len(parts) < 4 or parts[3] != "->":
             raise FormatError(f"bad transition line: {' '.join(parts)}")
@@ -491,6 +492,7 @@ def _parse_body(lines) -> FiniteAbstraction:
         if ood:
             rest = rest[1:]
         transitions[(si, ui, di)] = (tuple(int(v) for v in rest), ood)
+    _check_table(transitions, count, len(states), len(inputs), len(dists))
     return FiniteAbstraction(
         system=system,
         tau=tau,
@@ -508,6 +510,25 @@ def _parse_body(lines) -> FiniteAbstraction:
         external_names=external,
         transitions=transitions,
     )
+
+
+def _check_table(transitions, count, n_s, n_u, n_d):
+    """Require one line per (state, input, disturbance) triple and in-range indices."""
+    if len(transitions) != count:
+        raise FormatError(f"duplicate transitions: {count} lines for {len(transitions)} triples")
+    columns = list(zip(*transitions)) or [()] * 3
+    succ = [s for targets, _ in transitions.values() for s in targets]
+    for name, values, size in zip(
+        ("state", "input", "disturbance", "successor"), columns + [succ], (n_s, n_u, n_d, n_s)
+    ):
+        if values and (min(values) < 0 or max(values) >= size):
+            bad = min(values) if min(values) < 0 else max(values)
+            raise FormatError(f"{name} index {bad} is outside 0..{size - 1}")
+    if count != n_s * n_u * n_d:
+        raise FormatError(
+            f"incomplete transition table: {count} of {n_s * n_u * n_d} "
+            "(state, input, disturbance) triples"
+        )
 
 
 def read_abstraction(path) -> FiniteAbstraction:

@@ -4,9 +4,17 @@ moment bounds.
 Each path draws its Gaussian increments from a stream derived from
 (master seed, path index), so any single path can be reproduced in
 isolation bit-exactly and results do not depend on how paths are grouped
-into chunks.  Statistical verdicts use a one-sided 3-standard-error
-allowance: the checked inequalities are upper bounds, so sampling noise
-may excuse a small overshoot but never a systematic violation.
+into chunks.  The ensemble kernel is step-major: each chunk of paths
+keeps its states as contiguous (dim, paths) arrays and draws every
+path's stream NOISE_BLOCK steps at a time into a (steps, r, paths)
+block, so each step reads one contiguous row of noise and memory does
+not grow with the step count.  Both integrators share one contraction
+sigma(x) z and one divergence test, which is what makes the single path
+and the ensemble agree bit for bit.
+
+Statistical verdicts use a one-sided 3-standard-error allowance: the
+checked inequalities are upper bounds, so sampling noise may excuse a
+small overshoot but never a systematic violation.
 """
 
 from __future__ import annotations
@@ -19,14 +27,32 @@ import numpy as np
 
 from .certify import BoundKit, QuadraticCertificate, increment_constant, noise_gap_bound
 from .gridabs import FiniteAbstraction, flow_nominal, input_lattice
-from .sysdsl import SysModel
+from .sysdsl import SysModel, sample_box
 
 _DIVERGE_LIMIT = 1e9
+NOISE_BLOCK = 512  # steps of each path's stream drawn at a time
+_NOISE_TILE = 256  # paths transposed together while their draws are in cache
 
 
-def _path_noise(seed, path_index, steps, r):
-    rng = np.random.default_rng([int(seed), int(path_index)])
-    return rng.standard_normal((steps, r))
+def _path_rng(seed, path_index):
+    return np.random.default_rng([int(seed), int(path_index)])
+
+
+def _noise_term(s, z):
+    """sigma(x) z as sum_j s[:, j] * z[j], added in the order j = 0, 1, ...
+
+    Both integrators use this one contraction, so any ensemble path is
+    bit-exactly reproducible in isolation whatever r is.
+    """
+    acc = np.zeros(s.shape[:1] + s.shape[2:])
+    for j in range(s.shape[1]):
+        acc += s[:, j] * z[j]
+    return acc
+
+
+def _diverging(x):
+    """Mask of the paths (columns) with a NaN, an infinity or an entry past the limit."""
+    return ~(np.abs(x) <= _DIVERGE_LIMIT).all(axis=0)
 
 
 @dataclass
@@ -51,20 +77,18 @@ def simulate_em(sys: SysModel, x0, u, w, tau, steps, seed, path_index=0) -> EMPa
     sdt = math.sqrt(dt)
     ufun = u if callable(u) else (lambda t, _v=np.atleast_1d(np.asarray(u, float)): _v)
     wfun = w if callable(w) else (lambda t, _v=np.atleast_1d(np.asarray(w, float)): _v)
-    z = _path_noise(seed, path_index, steps, sys.r)
+    z = _path_rng(seed, path_index).standard_normal((steps, sys.r))
     out = np.empty((steps + 1, sys.n))
     x = np.atleast_1d(np.asarray(x0, float)).copy()
     out[0] = x
-    diverged_at = None
     for k in range(steps):
         t = k * dt
         f = sys.drift_eval(x, ufun(t), wfun(t))
         s = sys.diffusion_eval(x)
-        x = x + f * dt + s @ (sdt * z[k])
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > _DIVERGE_LIMIT:
-            diverged_at = k + 1
+        x = x + f * dt + _noise_term(s, sdt * z[k])
+        if _diverging(x):
             out[k + 1 :] = out[k]
-            return EMPath(states=out, diverged_at=diverged_at)
+            return EMPath(states=out, diverged_at=k + 1)
         out[k + 1] = x
     return EMPath(states=out, diverged_at=None)
 
@@ -75,7 +99,23 @@ def _constant_rows(value, dim, n_paths):
         arr = np.broadcast_to(np.atleast_1d(arr), (n_paths, dim))
     if arr.shape != (n_paths, dim):
         raise ValueError(f"expected shape ({n_paths}, {dim}), got {arr.shape}")
-    return np.ascontiguousarray(arr)
+    return arr
+
+
+def _fill_noise(rngs, out, scale):
+    """Draw the next out.shape[0] steps of every path's stream into out.
+
+    out has shape (steps, r, paths) and receives scale * z, so that each
+    step reads one contiguous row.  Drawing a stream in blocks yields the
+    same numbers as drawing it at once.
+    """
+    steps, r, _ = out.shape
+    tile = np.empty((_NOISE_TILE, steps, r))
+    for p0 in range(0, len(rngs), _NOISE_TILE):
+        part = rngs[p0 : p0 + _NOISE_TILE]
+        for dst, rng in zip(tile, part):
+            rng.standard_normal((steps, r), out=dst)
+        np.multiply(tile[: len(part)].transpose(1, 2, 0), scale, out=out[:, :, p0 : p0 + len(part)])
 
 
 def simulate_ensemble(
@@ -97,49 +137,56 @@ def simulate_ensemble(
     constants.  values has shape (n_paths, len(checkpoint_steps), n).
     pair_with, when given, is a second (x0, u, w) configuration evolved
     with the *same* noise; values then gains a leading axis of size 2.
+
+    The loop is step-major over chunks of paths: states are kept as
+    (dim, paths) arrays and the noise as (steps, r, paths) blocks of
+    NOISE_BLOCK steps, so memory does not grow with steps.  A path whose
+    state turns non-finite or exceeds the limit in any configuration is
+    flagged and all its configurations freeze from that step on.
     """
     dt = tau / steps
     sdt = math.sqrt(dt)
     configs = [(x0, u, w)] + ([pair_with] if pair_with is not None else [])
+    rows = [
+        [_constant_rows(v, dim, n_paths) for v, dim in zip(cfg, (sys.n, sys.m, sys.p))]
+        for cfg in configs
+    ]
     ckpt = {int(s): idx for idx, s in enumerate(checkpoint_steps)}
     values = np.empty((len(configs), n_paths, len(checkpoint_steps), sys.n))
     diverged = np.zeros(n_paths, bool)
 
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        count = stop - start
-        z = np.empty((count, steps, sys.r))
-        for k in range(count):
-            z[k] = _path_noise(seed, start + k, steps, sys.r)
-        states = []
-        for ci, (cx, cu, cw) in enumerate(configs):
-            xs = _constant_rows(cx, sys.n, n_paths)[start:stop].copy()
-            us = _constant_rows(cu, sys.m, n_paths)[start:stop]
-            ws = _constant_rows(cw, sys.p, n_paths)[start:stop]
-            states.append([xs, us, ws])
-            if 0 in ckpt:
-                values[ci, start:stop, ckpt[0]] = xs
-        alive = np.ones(count, bool)
-        for k in range(steps):
-            zk = z[:, k]
-            for ci, (xs, us, ws) in enumerate(states):
-                f = sys.drift_eval(xs.T, us.T, ws.T).T
-                s = sys.diffusion_eval(xs.T)
-                # same association as the single-path integrator, so any
-                # path is bit-exactly reproducible in isolation
-                nxt = xs + f * dt + np.einsum("irc,cr->ci", s, sdt * zk)
-                bad = ~np.all(np.isfinite(nxt), axis=1) | (
-                    np.abs(nxt).max(axis=1, initial=0.0) > _DIVERGE_LIMIT
-                )
-                move = alive & ~bad
-                xs[move] = nxt[move]
-                newly = alive & bad
-                if newly.any():
-                    diverged[start:stop] |= newly
-                    alive = alive & ~bad
-            if (k + 1) in ckpt:
-                for ci, (xs, _, _) in enumerate(states):
-                    values[ci, start:stop, ckpt[k + 1]] = xs
+        rngs = [_path_rng(seed, k) for k in range(start, stop)]
+        # per configuration: [xs, us, ws], each (dim, paths) and contiguous
+        states = [[a[start:stop].T.copy() for a in cfg] for cfg in rows]
+        if 0 in ckpt:
+            for ci, (xs, _, _) in enumerate(states):
+                values[ci, start:stop, ckpt[0]] = xs.T
+        alive = np.ones(stop - start, bool)
+        all_alive = True
+        noise = np.empty((min(NOISE_BLOCK, steps), sys.r, stop - start))
+        for k0 in range(0, steps, NOISE_BLOCK):
+            block = noise[: min(NOISE_BLOCK, steps - k0)]
+            _fill_noise(rngs, block, sdt)
+            for k, zk in enumerate(block, start=k0):
+                for st in states:
+                    xs, us, ws = st
+                    f = sys.drift_eval(xs, us, ws)
+                    nxt = xs + f * dt + _noise_term(sys.diffusion_eval(xs), zk)
+                    bad = _diverging(nxt)
+                    if all_alive and not bad.any():
+                        st[0] = nxt
+                        continue
+                    np.copyto(xs, nxt, where=alive & ~bad)
+                    newly = alive & bad
+                    if newly.any():
+                        diverged[start:stop] |= newly
+                        alive &= ~bad
+                        all_alive = False
+                if (k + 1) in ckpt:
+                    for ci, (xs, _, _) in enumerate(states):
+                        values[ci, start:stop, ckpt[k + 1]] = xs.T
     if pair_with is None:
         return values[0], diverged
     return values, diverged
@@ -375,6 +422,7 @@ def validate_bisim_step(
     rng = np.random.default_rng([int(seed), 0x5AFE])
     level = kit.alpha_low(eps**2)
     box = sys.domain_array()
+    dist_box = sys.dist_array().reshape(-1, 2)
     states = np.asarray(abstraction.states, float)
     ilat = input_lattice(sys.input_box, abstraction.omega) if sys.m else None
     dists = abstraction.dists
@@ -402,7 +450,7 @@ def validate_bisim_step(
         if cert.value(xhat, x) > level:
             continue
         if sys.m:
-            uvec = box_sample(rng, sys.input_box)
+            uvec = sample_box(rng, sys.input_box)
             uhat = ilat.quantize(uvec, clip=True)
             ui = input_index[uhat]
         else:
@@ -411,9 +459,9 @@ def validate_bisim_step(
             ui = 0
         di = int(rng.integers(len(dists)))
         what = np.asarray(dists[di], float)
-        lo = np.maximum(box_lo(sys.dist_box), what - eps_tilde_norm)
-        hi = np.minimum(box_hi(sys.dist_box), what + eps_tilde_norm)
-        wvec = lo + (hi - lo) * rng.random(sys.p)
+        lo = np.maximum(dist_box[:, 0], what - eps_tilde_norm)
+        hi = np.minimum(dist_box[:, 1], what + eps_tilde_norm)
+        wvec = sample_box(rng, np.column_stack([lo, hi]))
         succ, _ = abstraction.transitions[(si, ui, di)]
         if not succ:
             skipped += 1
@@ -459,18 +507,3 @@ def validate_bisim_step(
             )
         )
     return report
-
-
-def box_lo(box):
-    box = np.asarray(box, float).reshape(-1, 2)
-    return box[:, 0]
-
-
-def box_hi(box):
-    box = np.asarray(box, float).reshape(-1, 2)
-    return box[:, 1]
-
-
-def box_sample(rng, box):
-    box = np.asarray(box, float).reshape(-1, 2)
-    return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(box.shape[0])

@@ -467,12 +467,13 @@ class RegularityReport:
         return self.lipschitz_f_ok and self.lipschitz_sigma_ok and self.growth_ok
 
 
-def _sample_box(rng, box, count):
-    box = np.asarray(box, float)
-    if box.shape[0] == 0:
-        return np.zeros((0, count))
-    lo, hi = box[:, 0][:, None], box[:, 1][:, None]
-    return lo + (hi - lo) * rng.random((box.shape[0], count))
+def sample_box(rng, box, count=None):
+    """Uniform draws from the box [(lo, hi), ...]: one (dim,) point, or (dim, count) columns."""
+    box = np.asarray(box, float).reshape(-1, 2)
+    lo, hi = box[:, 0], box[:, 1]
+    if count is None:
+        return lo + (hi - lo) * rng.random(box.shape[0])
+    return lo[:, None] + (hi - lo)[:, None] * rng.random((box.shape[0], count))
 
 
 def _mat_inf_norm(a):
@@ -486,12 +487,12 @@ def check_regularity(sys: SysModel, samples: int = 2000, seed: int = 0) -> Regul
     All norms are infinity norms (matrix norm: max absolute row sum).
     """
     rng = np.random.default_rng(seed)
-    x = _sample_box(rng, sys.domain, samples)
-    x2 = _sample_box(rng, sys.domain, samples)
-    u = _sample_box(rng, sys.input_box, samples)
-    u2 = _sample_box(rng, sys.input_box, samples)
-    w = _sample_box(rng, sys.dist_box, samples)
-    w2 = _sample_box(rng, sys.dist_box, samples)
+    x = sample_box(rng, sys.domain, samples)
+    x2 = sample_box(rng, sys.domain, samples)
+    u = sample_box(rng, sys.input_box, samples)
+    u2 = sample_box(rng, sys.input_box, samples)
+    w = sample_box(rng, sys.dist_box, samples)
+    w2 = sample_box(rng, sys.dist_box, samples)
 
     f1 = sys.drift_eval(x, u, w)
     f2 = sys.drift_eval(x2, u2, w2)

@@ -137,16 +137,69 @@ def test_report_empty_dir(tmp_path, capsys):
     ids=["tau-line-without-eta", "non-integer-count"],
 )
 def test_bisim_malformed_abs_is_usage_error(pattern, repl, tmp_path, capsys):
+    body = _scalar_abs_body(tmp_path)
+    bad_body = re.sub(pattern, repl, body, count=1, flags=re.M)
+    assert bad_body != body
+    bad = _write_rehashed(tmp_path / "bad.abs", bad_body)
+    assert main(["bisim", str(bad), str(bad), "--eps", "0.1"]) == 2
+    assert "malformed abstraction file" in capsys.readouterr().err
+
+
+def _scalar_abs_body(tmp_path):
+    """Body of a scalar .abs file (5 states, 1 input, 1 disturbance), without its hash line."""
     out = tmp_path / "abs"
     assert main(["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--out", str(out)]) == 0
     text = (out / "scalar1.abs").read_text()
-    body = text[: text.rindex("hash ")]
-    bad_body = re.sub(pattern, repl, body, count=1, flags=re.M)
-    assert bad_body != body
-    bad = tmp_path / "bad.abs"
-    bad.write_text(bad_body + f"hash {hashlib.sha256(bad_body.encode()).hexdigest()}\n")
+    return text[: text.rindex("hash ")]
+
+
+def _write_rehashed(path, body):
+    path.write_text(body + f"hash {hashlib.sha256(body.encode()).hexdigest()}\n")
+    return path
+
+
+def _drop_transition(body):
+    body, dropped = re.subn(r"^4 0 0 ->.*\n", "", body, flags=re.M)
+    assert dropped == 1
+    count = int(re.search(r"^transitions (\d+)$", body, flags=re.M).group(1))
+    return body.replace(f"transitions {count}\n", f"transitions {count - 1}\n")
+
+
+def _edit_line(pattern, repl):
+    def edit(body):
+        bad, hits = re.subn(pattern, repl, body, count=1, flags=re.M)
+        assert hits == 1
+        return bad
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_transition, "incomplete transition table"),
+        (_edit_line(r"^(4 0 0 ->(?: \*)?) \d+", r"\1 5000"), "successor index 5000 is outside 0..4"),
+        (_edit_line(r"^4 0 0 ->", "4 9 0 ->"), "input index 9 is outside 0..0"),
+        (_edit_line(r"^4 0 0 ->", "3 0 0 ->"), "duplicate transitions: 5 lines for 4 triples"),
+    ],
+    ids=["missing-transition", "successor-out-of-range", "input-out-of-range", "duplicate-key"],
+)
+def test_bisim_rejects_bad_transition_table(edit, message, tmp_path, capsys):
+    bad = _write_rehashed(tmp_path / "bad.abs", edit(_scalar_abs_body(tmp_path)))
     assert main(["bisim", str(bad), str(bad), "--eps", "0.1"]) == 2
-    assert "malformed abstraction file" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_bisim_check_rejects_relation_pair_out_of_range(tmp_path, capsys):
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    assert main(["bisim", left, left, "--eps", "0.3", "--out", str(tmp_path)]) == 0
+    rel = tmp_path / "relation.rel"
+    text = rel.read_text()
+    count = int(re.search(r"^pairs (\d+)$", text, flags=re.M).group(1))
+    rel.write_text(text.replace(f"pairs {count}\n", f"pairs {count + 1}\n") + "99999 0\n")
+    assert main(["bisim", left, left, "--check", str(rel)]) == 2
+    assert "relation pair (99999, 0) is outside the 5 x 5 states" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

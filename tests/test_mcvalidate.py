@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochabs import certify, gridabs, mcvalidate
+from stochabs import certify, gridabs, mcvalidate, sysdsl
 from stochabs.expr import Bin, Lit, Pow, Var
 from stochabs.mcvalidate import (
     simulate_em,
@@ -63,6 +64,94 @@ def test_ensemble_chunk_invariance(scalar_model):
     a, _ = simulate_ensemble(scalar_model, [0.5], [0.0], [0.1], chunk=7, **kw)
     b, _ = simulate_ensemble(scalar_model, [0.5], [0.0], [0.1], chunk=4096, **kw)
     assert np.array_equal(a, b)
+
+
+# 2-D, two noise channels, cross-coupled diffusion; the cubic term blows
+# up the paths that start far enough out, some of them mid noise block
+COUPLED2 = """system coupled2
+dims n=2 m=1 p=1 r=2
+domain x1 in [-1, 1]
+domain x2 in [-1, 1]
+input u1 in [-0.1, 0.1]
+dist w1 in [-0.2, 0.2]
+drift x1' = -x1 + 0.5*x2 + u1 + 4*x1*x1*x1
+drift x2' = -2*x2 + x1*x2 + w1
+diff sigma[1][1] = 0.3*x1
+diff sigma[1][2] = 0.2*x2
+diff sigma[2][1] = 0.1*x2
+diff sigma[2][2] = 0.4*x1 + 0.1*x2
+const Lf=20 Lsigma=1 K=20
+"""
+# more than two noise blocks and not a multiple of one
+R2_STEPS = 1100
+R2_CKPT = [0, 300, 512, 700, 1024, 1100]
+R2_X0 = np.column_stack([np.linspace(0.2, 0.8, 40), np.linspace(-0.5, 0.1, 40)])
+
+
+@pytest.fixture(scope="module")
+def coupled2():
+    return sysdsl.parse_system(COUPLED2)
+
+
+def _r2_paths(model, x0, u, w):
+    with np.errstate(all="ignore"):
+        return [
+            simulate_em(model, x, u, w, 1.0, R2_STEPS, seed=SEED, path_index=k)
+            for k, x in enumerate(x0)
+        ]
+
+
+def _stop(path):
+    return path.diverged_at if path.diverged else R2_STEPS + 1
+
+
+def test_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
+    block = mcvalidate.NOISE_BLOCK
+    assert R2_STEPS > 2 * block and R2_STEPS % block
+    with np.errstate(all="ignore"):
+        vals, div = simulate_ensemble(
+            coupled2, R2_X0, [0.05], [0.1], 1.0, R2_STEPS, len(R2_X0), SEED, R2_CKPT, chunk=16
+        )
+    paths = _r2_paths(coupled2, R2_X0, [0.05], [0.1])
+    assert not all(p.diverged for p in paths)
+    assert any(p.diverged and p.diverged_at > block and p.diverged_at % block for p in paths)
+    for k, p in enumerate(paths):
+        assert div[k] == p.diverged
+        # simulate_em already holds a diverged path at its last good state
+        assert np.array_equal(vals[k], p.states[R2_CKPT])
+
+
+def test_paired_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
+    x0b = R2_X0[::-1].copy()
+    with np.errstate(all="ignore"):
+        vals, div = simulate_ensemble(
+            coupled2, R2_X0, [0.05], [0.1], 1.0, R2_STEPS, len(R2_X0), SEED, R2_CKPT,
+            chunk=16, pair_with=(x0b, [-0.05], [-0.1]),
+        )
+    first = _r2_paths(coupled2, R2_X0, [0.05], [0.1])
+    second = _r2_paths(coupled2, x0b, [-0.05], [-0.1])
+    d0 = np.array([_stop(p) for p in first])
+    d1 = np.array([_stop(p) for p in second])
+    assert (d0 < d1).any() and (d1 < d0).any()
+    for k, (p0, p1) in enumerate(zip(first, second)):
+        # a divergence in either configuration freezes both; when only the
+        # second one diverged, the first has already taken that step
+        stop0 = d0[k] - 1 if d0[k] <= d1[k] else d1[k]
+        stop1 = min(d0[k], d1[k]) - 1
+        assert div[k] == (min(d0[k], d1[k]) <= R2_STEPS)
+        assert np.array_equal(vals[0, k], p0.states[np.minimum(R2_CKPT, stop0)])
+        assert np.array_equal(vals[1, k], p1.states[np.minimum(R2_CKPT, stop1)])
+
+
+def test_ensemble_memory_does_not_grow_with_steps(scalar_model):
+    # a whole-run noise buffer would be 512 x 16384 x 8 B = 64 MB
+    tracemalloc.start()
+    try:
+        simulate_ensemble(scalar_model, [0.5], [0.0], [0.1], 0.5, 16384, 512, SEED, [16384])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ensemble_mean_matches_closed_form(scalar_model):
