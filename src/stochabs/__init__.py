@@ -42,6 +42,7 @@ from .mcvalidate import (
     validate_delta_iss,
     validate_increment_bound,
     validate_moment_closeness,
+    validate_moments,
 )
 from .netcomp import (
     build_node_abstraction,
@@ -49,7 +50,6 @@ from .netcomp import (
     compose_abstractions,
     composed_relation_params,
     eps_tilde_vec,
-    neighbors,
     neighbors_of_set,
     psi_bound,
     synthesize_params,

@@ -29,6 +29,7 @@ from .errors import CertificateError, ParameterError
 from .sysdsl import SysModel, sample_box
 
 _E = math.e
+_PITCH_TRIES = 60  # input pitches tried by search_input_pitch
 
 
 def _sym_sqrt(mat):
@@ -454,3 +455,32 @@ def pitch_terms(
         "gamma_term": gamma_term,
         "pitch_bound": min(cap_term, gamma_term),
     }
+
+
+def search_input_pitch(
+    kit: BoundKit,
+    sys: SysModel,
+    tau: float,
+    eps: float,
+    omega: float,
+    floor: float,
+    eps_tilde_norm: float = 0.0,
+    psi_tau: float = 0.0,
+):
+    """Halve the input pitch from omega until the admissible state pitch clears floor.
+
+    Tries at most _PITCH_TRIES pitches and returns (omega, terms): the last
+    pitch tried and its pitch_terms.  The search is feasible when
+    terms["pitch_bound"] >= floor; it stops at once for omega = 0 (a
+    system without inputs).
+    """
+    def terms_at(om):
+        return pitch_terms(kit, sys, tau, eps, om, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau)
+
+    terms = terms_at(omega)
+    for _ in range(_PITCH_TRIES - 1):
+        if terms["pitch_bound"] >= floor or omega == 0.0:
+            break
+        omega *= 0.5
+        terms = terms_at(omega)
+    return omega, terms

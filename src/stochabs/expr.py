@@ -244,11 +244,6 @@ def parse_expr(text, dims=None, line=1, col_offset=0):
     return _Parser(tokens, line, col_offset + len(text) + 1, dims).parse()
 
 
-def eval_expr(e: Expr, x, u, w):
-    """Evaluate e at state x, input u, disturbance w (sequences or arrays)."""
-    return e.eval(x, u, w)
-
-
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_ATOM = 1, 2, 3, 4
 
 

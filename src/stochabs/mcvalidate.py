@@ -10,7 +10,9 @@ path's stream NOISE_BLOCK steps at a time into a (steps, r, paths)
 block, so each step reads one contiguous row of noise and memory does
 not grow with the step count.  Both integrators share one contraction
 sigma(x) z and one divergence test, which is what makes the single path
-and the ensemble agree bit for bit.
+and the ensemble agree bit for bit.  The moment-closeness and increment
+suites simulate the same configuration, so validate_moments runs them
+off one ensemble.
 
 Statistical verdicts use a one-sided 3-standard-error allowance: the
 checked inequalities are upper bounds, so sampling noise may excuse a
@@ -155,9 +157,15 @@ def simulate_ensemble(
     values = np.empty((len(configs), n_paths, len(checkpoint_steps), sys.n))
     diverged = np.zeros(n_paths, bool)
 
+    # One noise buffer for all chunks, and each chunk's generators (about
+    # 4 kB each) released before the next chunk's are built, so that peak
+    # memory holds one chunk's worth of either.
+    noise = np.empty((min(NOISE_BLOCK, steps), sys.r, min(chunk, n_paths)))
+    rngs = []
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        rngs = [_path_rng(seed, k) for k in range(start, stop)]
+        rngs.clear()
+        rngs.extend(_path_rng(seed, k) for k in range(start, stop))
         # per configuration: [xs, us, ws], each (dim, paths) and contiguous
         states = [[a[start:stop].T.copy() for a in cfg] for cfg in rows]
         if 0 in ckpt:
@@ -165,9 +173,8 @@ def simulate_ensemble(
                 values[ci, start:stop, ckpt[0]] = xs.T
         alive = np.ones(stop - start, bool)
         all_alive = True
-        noise = np.empty((min(NOISE_BLOCK, steps), sys.r, stop - start))
         for k0 in range(0, steps, NOISE_BLOCK):
-            block = noise[: min(NOISE_BLOCK, steps - k0)]
+            block = noise[: min(NOISE_BLOCK, steps - k0), :, : stop - start]
             _fill_noise(rngs, block, sdt)
             for k, zk in enumerate(block, start=k0):
                 for st in states:
@@ -257,33 +264,24 @@ def _checkpoint_steps(steps, fractions):
     return out
 
 
-def validate_moment_closeness(
-    sys: SysModel,
-    kit: BoundKit,
-    x0,
-    tau,
-    n_paths=10_000,
-    seed=0,
-    u=None,
-    w=None,
-    steps=2048,
-    dist_box=None,
-) -> BoundReport:
-    """Gap between noisy and noise-free trajectories vs its bound.
+_CLOSENESS_FRACTIONS = (0.25, 0.5, 1.0)
+_INCREMENT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-    Checks E[|xi(t) - xibar(t)|^2] (infinity norm) at t in
-    {tau/4, tau/2, tau} under matched constant inputs and disturbances.
-    """
+
+def _moment_config(sys: SysModel, x0, u, w, steps):
+    """x0, u and w as float vectors (u = w = 0 when None), steps rounded up to a multiple of 4."""
     u = np.zeros(sys.m) if u is None else np.atleast_1d(np.asarray(u, float))
     w = np.zeros(sys.p) if w is None else np.atleast_1d(np.asarray(w, float))
     x0 = np.atleast_1d(np.asarray(x0, float))
-    steps += (-steps) % 4
-    ckpt = _checkpoint_steps(steps, (0.25, 0.5, 1.0))
-    vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
+    return x0, u, w, steps + (-steps) % 4
+
+
+def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist_box):
+    """Moment-closeness rows from an ensemble whose columns are the checkpoints ckpt."""
     ok = ~diverged
     dt = tau / steps
     slack = _integration_slack(dt, float(np.abs(x0).max(initial=0.0)))
-    report = BoundReport(check="moment_closeness", n_paths=n_paths, diverged=int(diverged.sum()))
+    report = BoundReport(check="moment_closeness", n_paths=len(diverged), diverged=int(diverged.sum()))
     for idx, ks in enumerate(ckpt):
         t = ks * dt
         ref = flow_nominal(sys, x0, u, w, t, tol=1e-12).endpoint
@@ -303,30 +301,12 @@ def validate_moment_closeness(
     return report
 
 
-def validate_increment_bound(
-    sys: SysModel,
-    x0,
-    tau,
-    n_paths=10_000,
-    seed=0,
-    u=None,
-    w=None,
-    steps=2048,
-) -> BoundReport:
-    """Mean-square increments E[|xi(t) - xi(s)|_2^2] vs C|t - s|.
-
-    Checked on the 5x5 grid of times in [0, tau].
-    """
-    u = np.zeros(sys.m) if u is None else u
-    w = np.zeros(sys.p) if w is None else w
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    steps += (-steps) % 4
-    ckpt = _checkpoint_steps(steps, (0.0, 0.25, 0.5, 0.75, 1.0))
-    vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
+def _increment_report(sys, x0, tau, steps, ckpt, vals, diverged):
+    """Increment rows for every pair s <= t of the checkpoints ckpt (the columns of vals)."""
     ok = ~diverged
     dt = tau / steps
     c = increment_constant(sys, float((x0**2).sum()), tau)
-    report = BoundReport(check="increment_bound", n_paths=n_paths, diverged=int(diverged.sum()))
+    report = BoundReport(check="increment_bound", n_paths=len(diverged), diverged=int(diverged.sum()))
     for i, ks in enumerate(ckpt):
         for j, kt in enumerate(ckpt):
             if kt < ks:
@@ -346,6 +326,77 @@ def validate_increment_bound(
                 )
             )
     return report
+
+
+def validate_moment_closeness(
+    sys: SysModel,
+    kit: BoundKit,
+    x0,
+    tau,
+    n_paths=10_000,
+    seed=0,
+    u=None,
+    w=None,
+    steps=2048,
+    dist_box=None,
+) -> BoundReport:
+    """Gap between noisy and noise-free trajectories vs its bound.
+
+    Checks E[|xi(t) - xibar(t)|^2] (infinity norm) at t in
+    {tau/4, tau/2, tau} under matched constant inputs and disturbances.
+    """
+    x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
+    ckpt = _checkpoint_steps(steps, _CLOSENESS_FRACTIONS)
+    vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
+    return _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist_box)
+
+
+def validate_increment_bound(
+    sys: SysModel,
+    x0,
+    tau,
+    n_paths=10_000,
+    seed=0,
+    u=None,
+    w=None,
+    steps=2048,
+) -> BoundReport:
+    """Mean-square increments E[|xi(t) - xi(s)|_2^2] vs C|t - s|.
+
+    Checked on the 5x5 grid of times in [0, tau].
+    """
+    x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
+    ckpt = _checkpoint_steps(steps, _INCREMENT_FRACTIONS)
+    vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
+    return _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
+
+
+def validate_moments(
+    sys: SysModel,
+    kit: BoundKit,
+    x0,
+    tau,
+    n_paths=10_000,
+    seed=0,
+    u=None,
+    w=None,
+    steps=2048,
+    dist_box=None,
+):
+    """(moment-closeness report, increment report) from one shared ensemble.
+
+    Both suites simulate the same configuration with the same streams, so
+    one run recording the increment checkpoints, which include the
+    closeness ones, yields the same rows as the two separate suites.
+    """
+    x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
+    ckpt = _checkpoint_steps(steps, _INCREMENT_FRACTIONS)
+    vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
+    cols = [_INCREMENT_FRACTIONS.index(f) for f in _CLOSENESS_FRACTIONS]
+    closeness = _closeness_report(
+        sys, kit, x0, u, w, tau, steps, [ckpt[c] for c in cols], vals[:, cols], diverged, dist_box
+    )
+    return closeness, _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
 
 
 def validate_delta_iss(

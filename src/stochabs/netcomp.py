@@ -19,18 +19,13 @@ from .certify import (
     QuadraticCertificate,
     derive_bounds,
     neighbor_drift_bound,
-    pitch_terms,
     precision_lower_bound,
+    search_input_pitch,
     verify_certificate,
 )
 from .errors import AbstractionError, ModelError
 from .gridabs import FiniteAbstraction, Lattice, snap_input_pitch, snap_state_pitch
 from .sysdsl import NetworkSpec
-
-
-def neighbors(spec: NetworkSpec, i: int) -> tuple:
-    """In-neighbours of node i, ascending node indices."""
-    return spec.neighbors(i)
 
 
 def neighbors_of_set(spec: NetworkSpec, subset) -> tuple:
@@ -185,16 +180,10 @@ def synthesize_params(
         omega_max = min(widths) if widths else 0.0
         if spec.omega[i] is not None:
             omega_max = min(omega_max, spec.omega[i]) if omega_max > 0 else spec.omega[i]
-        omega = omega_max
-        terms = None
-        for _ in range(60):
-            terms = pitch_terms(
-                kit, sys, spec.tau, eps_i, omega, eps_tilde_norm=etn, psi_tau=psi_tau
-            )
-            if terms["pitch_bound"] >= eta_floor or omega == 0.0:
-                break
-            omega *= 0.5
-        if terms is None or terms["pitch_bound"] < eta_floor:
+        omega, terms = search_input_pitch(
+            kit, sys, spec.tau, eps_i, omega_max, eta_floor, eps_tilde_norm=etn, psi_tau=psi_tau
+        )
+        if terms["pitch_bound"] < eta_floor:
             fail(
                 "no admissible state pitch above the floor "
                 f"(best bound {terms['pitch_bound']:.6g} at omega {omega:.6g})",

@@ -217,6 +217,26 @@ def test_pitch_bound_monotonicity(scalar_kit, scalar_model):
         ) >= base - 1e-12
 
 
+def test_search_input_pitch_halves_until_the_floor(scalar_kit, scalar_model):
+    def search(omega, floor, **kw):
+        return certify.search_input_pitch(
+            scalar_kit, scalar_model, 0.5, 3.2, omega, floor, eps_tilde_norm=0.1, **kw
+        )
+
+    def terms_at(omega):
+        return certify.pitch_terms(scalar_kit, scalar_model, 0.5, 3.2, omega, eps_tilde_norm=0.1)
+
+    # bounds 0.1274 at 0.2, 0.1347 at 0.1 and 0.1365 at 0.05
+    omega, terms = search(0.2, 0.136)
+    assert omega == 0.05 and terms == terms_at(0.05)
+    # an unreachable floor: 60 pitches tried, the terms belong to the last
+    omega, terms = search(0.2, 1.0)
+    assert omega == 0.2 * 0.5**59 and terms == terms_at(omega)
+    assert terms["pitch_bound"] < 1.0
+    # a system without inputs stops at once
+    assert search(0.0, 1.0)[0] == 0.0
+
+
 def test_feasible_pitch_exists_above_floor(scalar_kit, scalar_model):
     # any precision strictly above the floor admits positive (omega, eta)
     rng = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from stochabs import gridabs
+from stochabs import bisimcheck, gridabs, mcvalidate
 from stochabs.cli import build_parser, main
 from tests.conftest import DATA
 
@@ -124,6 +124,52 @@ def test_validate_and_report(tmp_path, capsys):
     # a FAIL row flips the report exit code
     (out / "fake.csv").write_text("check,t,empirical,std-error,bound,verdict\nx,0,1,0,0,FAIL\n")
     assert main(["report", "--out", str(out)]) == 1
+
+
+# sha256 of each report of `validate scalar.sys --tau 0.5 --paths 400
+# --steps 256` at the default seed, from the code that ran the two moment
+# suites on separate ensembles
+VALIDATE_PINS = {
+    "moment_closeness": "32a85bf6b1eb8cac22557a5ae4ddd930b9b113420e6d04c8e703cb7381a846c6",
+    "increment_bound": "3f514246f81eded16df87f8db5e7c9edee53fedec33d2fdbe919f441532558b5",
+    "delta_iss": "a7b6ad52266a4deacab81efabc657ef78715f19730a97b835dd411cc205ba60d",
+    "bisim_step": "b986482a0e4208d687ad4f9e42741058d7edd40290cdc6247d3d274218ab7dde",
+}
+
+
+def test_validate_shares_one_ensemble_between_moment_suites(tmp_path, capsys, monkeypatch):
+    calls = []
+    simulate = mcvalidate.simulate_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(mcvalidate, "simulate_ensemble", counted)
+    out = tmp_path / "val"
+    assert main(["validate", SCALAR, "--tau", "0.5", "--paths", "400", "--steps", "256",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3  # moments (shared), delta_iss, bisim_step
+    for name, digest in VALIDATE_PINS.items():
+        assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest, name
+    # the five s = t increment rows are all zero and stay out of the worst margin
+    stdout = capsys.readouterr().out
+    margin = re.search(r"^increment_bound: pass \(15 rows, diverged 0, worst margin (\S+)\)$",
+                       stdout, flags=re.M)
+    assert margin and float(margin.group(1)) > 0
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(bisimcheck, "largest_bisimulation", exhausted)
+    assert main(["bisim", left, left, "--eps", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory in 'bisim'") and "Traceback" not in err
 
 
 def test_report_empty_dir(tmp_path, capsys):

@@ -9,7 +9,6 @@ from stochabs.expr import (
     Neg,
     Pow,
     Var,
-    eval_expr,
     parse_expr,
     to_source,
 )
@@ -43,17 +42,17 @@ def test_index_out_of_range():
 
 def test_eval_examples():
     e = parse_expr("-x1 + u1 + w1", dims=(1, 1, 1))
-    assert eval_expr(e, [2.0], [1.0], [0.5]) == -0.5
-    assert eval_expr(parse_expr("pow(x1,2)", dims=(1, 0, 0)), [-3.0], [], []) == 9.0
+    assert e.eval([2.0], [1.0], [0.5]) == -0.5
+    assert parse_expr("pow(x1,2)", dims=(1, 0, 0)).eval([-3.0], [], []) == 9.0
 
 
 def test_division_guard():
     e = parse_expr("x1 / x2", dims=(2, 0, 0))
     with pytest.raises(ExprEvalError) as exc:
-        eval_expr(e, [1.0, 0.0], [], [])
+        e.eval([1.0, 0.0], [], [])
     assert "x1 / x2" in str(exc.value)
     with pytest.raises(ExprEvalError):
-        eval_expr(parse_expr("pow(x1,-1)", dims=(1, 0, 0)), [0.0], [], [])
+        parse_expr("pow(x1,-1)", dims=(1, 0, 0)).eval([0.0], [], [])
 
 
 def test_positioned_errors():
@@ -114,7 +113,7 @@ def test_independent_interpreter_agreement():
         env.update(env_fns)
         try:
             with np.errstate(all="ignore"):
-                mine = eval_expr(e, x, u, w)
+                mine = e.eval(x, u, w)
                 theirs = eval(to_source(e), {"__builtins__": {}}, env)
         except (ExprEvalError, ZeroDivisionError, OverflowError):
             continue

@@ -14,6 +14,7 @@ from stochabs.mcvalidate import (
     validate_delta_iss,
     validate_increment_bound,
     validate_moment_closeness,
+    validate_moments,
 )
 
 SEED = 1729
@@ -154,6 +155,22 @@ def test_ensemble_memory_does_not_grow_with_steps(scalar_model):
     assert peak < 16 * 2**20
 
 
+def test_ensemble_memory_does_not_grow_with_chunks(scalar_model):
+    # one chunk's noise buffer (1 MB here) and generators at a time: four
+    # chunks peak no higher than one
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(scalar_model, [0.5], [0.0], [0.1], 0.5, 512, n_paths, SEED, [512],
+                              chunk=256)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # the first run also allocates one-time state
+    assert peak(4 * 256) < 1.25 * peak(256)
+
+
 def test_ensemble_mean_matches_closed_form(scalar_model):
     # E xi(t) = x0 e^{-t} for the linear system
     n = 20_000
@@ -220,6 +237,28 @@ def test_increment_bound_monotone_in_growth_constant(scalar_model):
     assert slack.passed
     for a, b in zip(tight.rows, slack.rows):
         assert b.bound >= a.bound
+
+
+def _moment_cases(case, scalar_model, scalar_kit, coupled2):
+    if case == "scalar":
+        return scalar_model, scalar_kit, dict(x0=[0.5], tau=0.5, u=None, w=None)
+    cert = certify.QuadraticCertificate.create(np.eye(2), 0.5, lu=1.0, lw=1.0)
+    kit = certify.derive_bounds(coupled2, cert)
+    return coupled2, kit, dict(x0=[0.3, -0.2], tau=1.0, u=[0.05], w=[0.1])
+
+
+@pytest.mark.parametrize("case", ["scalar", "coupled2"])
+def test_shared_moment_ensemble_matches_separate_suites(case, scalar_model, scalar_kit, coupled2):
+    model, kit, cfg = _moment_cases(case, scalar_model, scalar_kit, coupled2)
+    # 250 steps is rounded up to 252 by every suite alike
+    kw = dict(n_paths=300, seed=SEED, steps=250, u=cfg["u"], w=cfg["w"])
+    closeness, increment = validate_moments(model, kit, cfg["x0"], cfg["tau"], **kw)
+    alone_c = validate_moment_closeness(model, kit, cfg["x0"], cfg["tau"], **kw)
+    alone_i = validate_increment_bound(model, cfg["x0"], cfg["tau"], **kw)
+    assert len(closeness.rows) == 3 and len(increment.rows) == 15
+    assert closeness == alone_c
+    assert increment == alone_i
+    assert all(math.isfinite(r.empirical) for r in closeness.rows + increment.rows)
 
 
 def test_delta_iss_passes(scalar_model, scalar_kit):

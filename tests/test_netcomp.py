@@ -23,9 +23,9 @@ def tri_parts(tri_net):
 
 def test_neighbors_chain(tri_net):
     # edges: a->b, a->c, b->c
-    assert netcomp.neighbors(tri_net, 0) == ()
-    assert netcomp.neighbors(tri_net, 1) == (0,)
-    assert netcomp.neighbors(tri_net, 2) == (0, 1)
+    assert tri_net.neighbors(0) == ()
+    assert tri_net.neighbors(1) == (0,)
+    assert tri_net.neighbors(2) == (0, 1)
 
 
 def test_neighbors_of_set(tri_net):
