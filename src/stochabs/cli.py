@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bisimcheck, certify, gridabs, mcvalidate, netcomp, sysdsl
-from .errors import StochabsError
+from .errors import ParameterError, StochabsError
 
 DEFAULT_SEED = 1729
 
@@ -281,6 +281,9 @@ def cmd_bisim(args):
 
 
 def cmd_validate(args):
+    for flag in ("paths", "pairs", "steps"):
+        if getattr(args, flag) < 1:
+            raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
     model = _load_system(args.file)
     cert = _certificate(model, args)
     report = certify.verify_certificate(model, cert, mode="sampled", samples=2000, seed=args.seed)
@@ -322,18 +325,15 @@ def cmd_validate(args):
         *mcvalidate.validate_moments(
             model, kit, x0, tau, n_paths=args.paths, seed=args.seed, steps=args.steps
         ),
-        mcvalidate.validate_delta_iss(
-            model, kit, tau,
+        *mcvalidate.validate_coupled(
+            model, cert, kit, abstraction, eps,
             a=0.5 * dom[:, 1], a2=0.5 * dom[:, 0],
             u=ubox[:, 1] if model.m else np.zeros(0),
             u2=ubox[:, 0] if model.m else np.zeros(0),
             w=0.3 * wbox[:, 1] if model.p else np.zeros(0),
             w2=0.3 * wbox[:, 0] if model.p else np.zeros(0),
-            n_paths=args.paths, seed=args.seed, steps=args.steps,
-        ),
-        mcvalidate.validate_bisim_step(
-            model, cert, kit, abstraction, eps,
             eps_tilde_norm=args.eps_tilde_norm,
+            n_paths=args.paths,
             n_pairs=args.pairs,
             paths_per_pair=max(args.paths // args.pairs, 2),
             seed=args.seed, steps=args.steps,

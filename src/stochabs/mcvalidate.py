@@ -4,15 +4,21 @@ moment bounds.
 Each path draws its Gaussian increments from a stream derived from
 (master seed, path index), so any single path can be reproduced in
 isolation bit-exactly and results do not depend on how paths are grouped
-into chunks.  The ensemble kernel is step-major: each chunk of paths
-keeps its states as contiguous (dim, paths) arrays and draws every
-path's stream NOISE_BLOCK steps at a time into a (steps, r, paths)
-block, so each step reads one contiguous row of noise and memory does
-not grow with the step count.  Both integrators share one contraction
-sigma(x) z and one divergence test, which is what makes the single path
-and the ensemble agree bit for bit.  The moment-closeness and increment
-suites simulate the same configuration, so validate_moments runs them
-off one ensemble.
+into chunks.  One step-major kernel, simulate_groups, runs every
+ensemble.  It steps groups of configurations that share each path's
+noise: a group holds its states as one contiguous (dim, configs, paths)
+array, so one drift and one diffusion evaluation serve all of its
+configurations, and it keeps its own path count, checkpoints and alive
+mask, so a divergence in one group never freezes another.  Each chunk
+of paths draws every stream NOISE_BLOCK steps at a time into one
+(steps, r, paths) block that all groups read, so each step reads one
+contiguous row of noise and memory does not grow with the step count.
+Both integrators share one contraction sigma(x) z and one divergence
+test, which is what makes the single path and the ensemble agree bit
+for bit.  The moment-closeness and increment suites simulate the same
+configuration, so validate_moments runs them off one ensemble;
+validate_coupled runs delta_iss's pair and bisim_step's paths as two
+groups of one pass.
 
 Statistical verdicts use a one-sided 3-standard-error allowance: the
 checked inequalities are upper bounds, so sampling noise may excuse a
@@ -120,6 +126,97 @@ def _fill_noise(rngs, out, scale):
         np.multiply(tile[: len(part)].transpose(1, 2, 0), scale, out=out[:, :, p0 : p0 + len(part)])
 
 
+class _Group:
+    """Configurations that share each path's noise, stepped as (dim, configs, paths) arrays.
+
+    Each group has its own path count, checkpoints, values, diverged flags
+    and, per chunk, its own alive mask.
+    """
+
+    def __init__(self, sys, configs, n_paths, checkpoint_steps):
+        dims = (sys.n, sys.m, sys.p)
+        # per configuration: x0, u, w as (n_paths, dim) rows
+        self.rows = [[_constant_rows(v, dim, n_paths) for v, dim in zip(cfg, dims)] for cfg in configs]
+        self.n_paths = n_paths
+        self.ckpt = {int(s): idx for idx, s in enumerate(checkpoint_steps)}
+        self.values = np.empty((len(configs), n_paths, len(checkpoint_steps), sys.n))
+        self.diverged = np.zeros(n_paths, bool)
+
+    def start_chunk(self, start, stop):
+        self.span = slice(start, min(stop, self.n_paths))
+        self.width = self.span.stop - start
+        self.x, self.u, self.w = (
+            np.stack([cfg[i][self.span].T for cfg in self.rows], axis=1) for i in range(3)
+        )
+        self.alive = np.ones(self.width, bool)
+        self.all_alive = True
+        self.record(0)
+
+    def record(self, k):
+        if k in self.ckpt:
+            self.values[:, self.span, self.ckpt[k]] = self.x.transpose(1, 2, 0)
+
+    def step(self, sys, zk, dt):
+        x = self.x
+        nxt = x + sys.drift_eval(x, self.u, self.w) * dt + _noise_term(sys.diffusion_eval(x), zk)
+        if self.all_alive and np.abs(nxt).max() <= _DIVERGE_LIMIT:  # NaN fails the test
+            self.x = nxt
+            return
+        # (configs, paths): configuration c of a path also freezes when an
+        # earlier configuration of that path diverged at this step
+        bad = np.logical_or.accumulate(_diverging(nxt), axis=0)
+        np.copyto(x, nxt, where=self.alive & ~bad)
+        newly = self.alive & bad[-1]
+        if newly.any():
+            self.diverged[self.span] |= newly
+            self.alive &= ~bad[-1]
+            self.all_alive = False
+
+
+def simulate_groups(sys: SysModel, groups, tau, steps, seed, chunk=4096):
+    """One step-major Euler-Maruyama pass over groups of configurations.
+
+    groups is a sequence of (configs, n_paths, checkpoint_steps), configs
+    a list of (x0, u, w) as in simulate_ensemble.  Path k of every group
+    draws the stream (seed, k), so a group gives the same numbers as a run
+    of its own.  Returns one (values, diverged) per group, values of shape
+    (len(configs), n_paths, len(checkpoint_steps), n).
+
+    Paths go in chunks; each chunk's noise is drawn once, NOISE_BLOCK
+    steps at a time, into a (steps, r, paths) block that every group reads
+    its first columns of, so memory does not grow with steps.  A path that
+    turns non-finite or exceeds the limit in a configuration is flagged in
+    its group, and that configuration and the later ones of the path
+    freeze from that step on; the earlier ones take the step and then
+    freeze.  Other groups are not affected.
+    """
+    dt = tau / steps
+    sdt = math.sqrt(dt)
+    plans = [_Group(sys, configs, n_paths, ckpt) for configs, n_paths, ckpt in groups]
+    n_max = max((g.n_paths for g in plans), default=0)
+
+    # One noise buffer for all chunks, and each chunk's generators (about
+    # 4 kB each) released before the next chunk's are built, so that peak
+    # memory holds one chunk's worth of either.
+    noise = np.empty((min(NOISE_BLOCK, steps), sys.r, min(chunk, n_max)))
+    rngs = []
+    for start in range(0, n_max, chunk):
+        stop = min(start + chunk, n_max)
+        rngs.clear()
+        rngs.extend(_path_rng(seed, k) for k in range(start, stop))
+        active = [g for g in plans if g.n_paths > start]
+        for g in active:
+            g.start_chunk(start, stop)
+        for k0 in range(0, steps, NOISE_BLOCK):
+            block = noise[: min(NOISE_BLOCK, steps - k0), :, : stop - start]
+            _fill_noise(rngs, block, sdt)
+            for k, zk in enumerate(block, start=k0 + 1):
+                for g in active:
+                    g.step(sys, zk[:, : g.width], dt)
+                    g.record(k)
+    return [(g.values, g.diverged) for g in plans]
+
+
 def simulate_ensemble(
     sys: SysModel,
     x0,
@@ -139,61 +236,14 @@ def simulate_ensemble(
     constants.  values has shape (n_paths, len(checkpoint_steps), n).
     pair_with, when given, is a second (x0, u, w) configuration evolved
     with the *same* noise; values then gains a leading axis of size 2.
-
-    The loop is step-major over chunks of paths: states are kept as
-    (dim, paths) arrays and the noise as (steps, r, paths) blocks of
-    NOISE_BLOCK steps, so memory does not grow with steps.  A path whose
-    state turns non-finite or exceeds the limit in any configuration is
-    flagged and all its configurations freeze from that step on.
+    This is one group of simulate_groups: a path whose state turns
+    non-finite or exceeds the limit in either configuration is flagged
+    and both configurations freeze.
     """
-    dt = tau / steps
-    sdt = math.sqrt(dt)
     configs = [(x0, u, w)] + ([pair_with] if pair_with is not None else [])
-    rows = [
-        [_constant_rows(v, dim, n_paths) for v, dim in zip(cfg, (sys.n, sys.m, sys.p))]
-        for cfg in configs
-    ]
-    ckpt = {int(s): idx for idx, s in enumerate(checkpoint_steps)}
-    values = np.empty((len(configs), n_paths, len(checkpoint_steps), sys.n))
-    diverged = np.zeros(n_paths, bool)
-
-    # One noise buffer for all chunks, and each chunk's generators (about
-    # 4 kB each) released before the next chunk's are built, so that peak
-    # memory holds one chunk's worth of either.
-    noise = np.empty((min(NOISE_BLOCK, steps), sys.r, min(chunk, n_paths)))
-    rngs = []
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        rngs.clear()
-        rngs.extend(_path_rng(seed, k) for k in range(start, stop))
-        # per configuration: [xs, us, ws], each (dim, paths) and contiguous
-        states = [[a[start:stop].T.copy() for a in cfg] for cfg in rows]
-        if 0 in ckpt:
-            for ci, (xs, _, _) in enumerate(states):
-                values[ci, start:stop, ckpt[0]] = xs.T
-        alive = np.ones(stop - start, bool)
-        all_alive = True
-        for k0 in range(0, steps, NOISE_BLOCK):
-            block = noise[: min(NOISE_BLOCK, steps - k0), :, : stop - start]
-            _fill_noise(rngs, block, sdt)
-            for k, zk in enumerate(block, start=k0):
-                for st in states:
-                    xs, us, ws = st
-                    f = sys.drift_eval(xs, us, ws)
-                    nxt = xs + f * dt + _noise_term(sys.diffusion_eval(xs), zk)
-                    bad = _diverging(nxt)
-                    if all_alive and not bad.any():
-                        st[0] = nxt
-                        continue
-                    np.copyto(xs, nxt, where=alive & ~bad)
-                    newly = alive & bad
-                    if newly.any():
-                        diverged[start:stop] |= newly
-                        alive &= ~bad
-                        all_alive = False
-                if (k + 1) in ckpt:
-                    for ci, (xs, _, _) in enumerate(states):
-                        values[ci, start:stop, ckpt[k + 1]] = xs.T
+    [(values, diverged)] = simulate_groups(
+        sys, [(configs, n_paths, checkpoint_steps)], tau, steps, seed, chunk
+    )
     if pair_with is None:
         return values[0], diverged
     return values, diverged
@@ -399,6 +449,45 @@ def validate_moments(
     return closeness, _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
 
 
+def _delta_iss_group(a, a2, u, u2, w, w2, n_paths, steps):
+    """delta_iss's group (the pair a, a2 under the same noise) and its step count, a multiple of 4."""
+    a = np.atleast_1d(np.asarray(a, float))
+    a2 = np.atleast_1d(np.asarray(a2, float))
+    steps += (-steps) % 4
+    ckpt = _checkpoint_steps(steps, (0.25, 0.5, 0.75, 1.0))
+    return ([(a, u, w), (a2, u2, w2)], n_paths, ckpt), steps
+
+
+def _delta_iss_report(kit, tau, steps, group, vals, diverged):
+    """delta_iss rows from the ensemble of group, one row per checkpoint."""
+    ((a, u, w), (a2, u2, w2)), n_paths, ckpt = group
+    ok = ~diverged
+    dt = tau / steps
+
+    def gap(v, v2):
+        return float(np.abs(np.subtract(v, v2, dtype=float)).max(initial=0.0))
+
+    da = gap(a, a2) ** 2
+    offset = kit.rho_u(gap(u, u2)) + kit.rho_d(gap(w, w2) ** 2)
+    report = BoundReport(check="delta_iss", n_paths=n_paths, diverged=int(diverged.sum()))
+    for idx, ks in enumerate(ckpt):
+        t = ks * dt
+        dist = np.abs(vals[0][ok, idx, :] - vals[1][ok, idx, :]).max(axis=1) ** 2
+        mean, se = _mean_se(dist)
+        bound = kit.beta(da, t) + offset
+        report.rows.append(
+            BoundRow(
+                check=report.check,
+                label=f"{t:.6g}",
+                empirical=mean,
+                std_error=se,
+                bound=bound,
+                passed=mean <= bound + 3.0 * se,
+            )
+        )
+    return report
+
+
 def validate_delta_iss(
     sys: SysModel,
     kit: BoundKit,
@@ -419,33 +508,118 @@ def validate_delta_iss(
     mean-square distance is compared with the decay envelope plus the
     mismatch offsets at four checkpoints.
     """
-    a = np.atleast_1d(np.asarray(a, float))
-    a2 = np.atleast_1d(np.asarray(a2, float))
-    steps += (-steps) % 4
-    ckpt = _checkpoint_steps(steps, (0.25, 0.5, 0.75, 1.0))
-    vals, diverged = simulate_ensemble(
-        sys, a, u, w, tau, steps, n_paths, seed, ckpt, pair_with=(a2, u2, w2)
+    group, steps = _delta_iss_group(a, a2, u, u2, w, w2, n_paths, steps)
+    [(vals, diverged)] = simulate_groups(sys, [group], tau, steps, seed)
+    return _delta_iss_report(kit, tau, steps, group, vals, diverged)
+
+
+@dataclass
+class _BisimPairs:
+    """Sampled related pairs of the bisimulation step check."""
+
+    x0s: np.ndarray  # (pairs, n) concrete start points
+    us: np.ndarray  # (pairs, m) concrete inputs
+    ws: np.ndarray  # (pairs, p) concrete disturbances
+    targets: np.ndarray  # (pairs, n) abstract successor nearest the nominal flow
+    level: float
+    skipped: int
+
+    def group(self, paths_per_pair, steps):
+        """The pairs' group: paths_per_pair paths per pair, recorded at the last step."""
+        configs = [tuple(np.repeat(v, paths_per_pair, axis=0) for v in (self.x0s, self.us, self.ws))]
+        return configs, len(self.x0s) * paths_per_pair, [steps]
+
+
+def _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pairs, seed):
+    """Draw n_pairs related (abstract state, concrete point) pairs with their inputs and disturbances.
+
+    Each pair's target is the successor of its (s, u, d) cell nearest the
+    nominal flow; the flows of the distinct cells are one flow_nominal call.
+    """
+    rng = np.random.default_rng([int(seed), 0x5AFE])
+    level = kit.alpha_low(eps**2)
+    box = sys.domain_array()
+    dist_box = sys.dist_array().reshape(-1, 2)
+    states = np.asarray(abstraction.states, float)
+    ilat = input_lattice(sys.input_box, abstraction.omega) if sys.m else None
+    dists = abstraction.dists
+
+    x0s = np.empty((n_pairs, sys.n))
+    us = np.empty((n_pairs, sys.m))
+    ws = np.empty((n_pairs, sys.p))
+    keys = []
+    input_index = {coords: k for k, coords in enumerate(abstraction.inputs)}
+    skipped = 0
+    attempts = 0
+    while len(keys) < n_pairs:
+        attempts += 1
+        if attempts > 200 * n_pairs:
+            raise RuntimeError("pair sampling stalled; relation threshold too tight for D")
+        si = int(rng.integers(len(states)))
+        xhat = states[si]
+        delta = (rng.random(sys.n) * 2.0 - 1.0) * eps
+        x = xhat + delta
+        if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
+            continue
+        if cert.value(xhat, x) > level:
+            continue
+        if sys.m:
+            uvec = sample_box(rng, sys.input_box)
+            ui = input_index[ilat.quantize(uvec, clip=True)]
+        else:
+            uvec = np.zeros(0)
+            ui = 0
+        di = int(rng.integers(len(dists)))
+        what = np.asarray(dists[di], float)
+        lo = np.maximum(dist_box[:, 0], what - eps_tilde_norm)
+        hi = np.minimum(dist_box[:, 1], what + eps_tilde_norm)
+        wvec = sample_box(rng, np.column_stack([lo, hi]))
+        if not abstraction.transitions[(si, ui, di)][0]:
+            skipped += 1
+            continue
+        x0s[len(keys)] = x
+        us[len(keys)] = uvec
+        ws[len(keys)] = wvec
+        keys.append((si, ui, di))
+
+    cells = list(dict.fromkeys(keys))
+
+    def column(table, axis, dim):
+        return np.array([table[c[axis]] for c in cells], float).reshape(len(cells), dim).T
+
+    zbar = flow_nominal(
+        sys, column(states, 0, sys.n), column(abstraction.inputs, 1, sys.m),
+        column(dists, 2, sys.p), abstraction.tau, tol=1e-10,
+    ).endpoint
+    best = {}
+    for j, cell in enumerate(cells):
+        succ = abstraction.transitions[cell][0]
+        best[cell] = min(succ, key=lambda s: np.abs(states[s] - zbar[:, j]).max())
+    targets = states[[best[c] for c in keys]].reshape(n_pairs, sys.n)
+    return _BisimPairs(x0s, us, ws, targets, level, skipped)
+
+
+def _bisim_report(sys, cert, tau, steps, pairs: _BisimPairs, paths_per_pair, vals, diverged):
+    """bisim_step rows, one per pair, from the ensemble of pairs.group(paths_per_pair, steps)."""
+    n_pairs = len(pairs.targets)
+    endpoints = vals[0, :, 0, :].reshape(n_pairs, paths_per_pair, sys.n)
+    div = diverged.reshape(n_pairs, paths_per_pair)
+    slack = _integration_slack(tau / steps, float(np.abs(sys.domain_array()).max()))
+    report = BoundReport(
+        check="bisim_step", n_paths=len(diverged), diverged=int(diverged.sum()), skipped=pairs.skipped
     )
-    ok = ~diverged
-    dt = tau / steps
-    da = float(np.abs(a - a2).max(initial=0.0)) ** 2
-    du = float(np.abs(np.atleast_1d(np.asarray(u, float)) - np.atleast_1d(np.asarray(u2, float))).max(initial=0.0))
-    dw = float(np.abs(np.atleast_1d(np.asarray(w, float)) - np.atleast_1d(np.asarray(w2, float))).max(initial=0.0)) ** 2
-    offset = kit.rho_u(du) + kit.rho_d(dw)
-    report = BoundReport(check="delta_iss", n_paths=n_paths, diverged=int(diverged.sum()))
-    for idx, ks in enumerate(ckpt):
-        t = ks * dt
-        dist = np.abs(vals[0][ok, idx, :] - vals[1][ok, idx, :]).max(axis=1) ** 2
-        mean, se = _mean_se(dist)
-        bound = kit.beta(da, t) + offset
+    for pi in range(n_pairs):
+        okmask = ~div[pi]
+        vvals = cert.value(pairs.targets[pi][:, None], endpoints[pi][okmask].T)
+        mean, se = _mean_se(vvals)
         report.rows.append(
             BoundRow(
                 check=report.check,
-                label=f"{t:.6g}",
+                label=f"pair{pi}",
                 empirical=mean,
                 std_error=se,
-                bound=bound,
-                passed=mean <= bound + 3.0 * se,
+                bound=pairs.level,
+                passed=mean <= pairs.level + 3.0 * se + slack,
             )
         )
     return report
@@ -470,91 +644,49 @@ def validate_bisim_step(
     within the declared mismatch, then checks that E[V(next abstract
     state, xi(tau))] stays within the relation threshold.
     """
-    rng = np.random.default_rng([int(seed), 0x5AFE])
-    level = kit.alpha_low(eps**2)
-    box = sys.domain_array()
-    dist_box = sys.dist_array().reshape(-1, 2)
-    states = np.asarray(abstraction.states, float)
-    ilat = input_lattice(sys.input_box, abstraction.omega) if sys.m else None
-    dists = abstraction.dists
+    pairs = _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pairs, seed)
     tau = abstraction.tau
+    [(vals, diverged)] = simulate_groups(sys, [pairs.group(paths_per_pair, steps)], tau, steps, seed)
+    return _bisim_report(sys, cert, tau, steps, pairs, paths_per_pair, vals, diverged)
 
-    x0s = np.empty((n_pairs, sys.n))
-    us = np.empty((n_pairs, sys.m))
-    ws = np.empty((n_pairs, sys.p))
-    targets = np.empty((n_pairs, sys.n))
-    flow_cache = {}
-    input_index = {coords: k for k, coords in enumerate(abstraction.inputs)}
-    skipped = 0
-    drawn = 0
-    attempts = 0
-    while drawn < n_pairs:
-        attempts += 1
-        if attempts > 200 * n_pairs:
-            raise RuntimeError("pair sampling stalled; relation threshold too tight for D")
-        si = int(rng.integers(len(states)))
-        xhat = states[si]
-        delta = (rng.random(sys.n) * 2.0 - 1.0) * eps
-        x = xhat + delta
-        if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
-            continue
-        if cert.value(xhat, x) > level:
-            continue
-        if sys.m:
-            uvec = sample_box(rng, sys.input_box)
-            uhat = ilat.quantize(uvec, clip=True)
-            ui = input_index[uhat]
-        else:
-            uvec = np.zeros(0)
-            uhat = ()
-            ui = 0
-        di = int(rng.integers(len(dists)))
-        what = np.asarray(dists[di], float)
-        lo = np.maximum(dist_box[:, 0], what - eps_tilde_norm)
-        hi = np.minimum(dist_box[:, 1], what + eps_tilde_norm)
-        wvec = sample_box(rng, np.column_stack([lo, hi]))
-        succ, _ = abstraction.transitions[(si, ui, di)]
-        if not succ:
-            skipped += 1
-            continue
-        key = (si, ui, di)
-        best = flow_cache.get(key)
-        if best is None:
-            zbar = flow_nominal(sys, xhat, np.asarray(uhat), what, tau, tol=1e-10).endpoint
-            best = min(succ, key=lambda s: np.abs(states[s] - zbar).max())
-            flow_cache[key] = best
-        targets[drawn] = states[best]
-        x0s[drawn] = x
-        us[drawn] = uvec
-        ws[drawn] = wvec
-        drawn += 1
 
-    total = n_pairs * paths_per_pair
-    x0_rows = np.repeat(x0s, paths_per_pair, axis=0)
-    u_rows = np.repeat(us, paths_per_pair, axis=0)
-    w_rows = np.repeat(ws, paths_per_pair, axis=0)
-    vals, diverged = simulate_ensemble(
-        sys, x0_rows, u_rows, w_rows, tau, steps, total, seed, [steps]
+def validate_coupled(
+    sys: SysModel,
+    cert: QuadraticCertificate,
+    kit: BoundKit,
+    abstraction: FiniteAbstraction,
+    eps,
+    a,
+    a2,
+    u,
+    u2,
+    w,
+    w2,
+    eps_tilde_norm=0.0,
+    n_paths=10_000,
+    n_pairs=100,
+    paths_per_pair=100,
+    seed=0,
+    steps=2048,
+):
+    """(delta_iss report, bisim_step report) from one grouped ensemble pass.
+
+    Both suites run over the abstraction's sampling period with the same
+    streams, so the pair (a, a2) and the sampled pairs' paths are two
+    groups of one simulate_groups call and give the same rows as
+    validate_delta_iss and validate_bisim_step.  When steps is not a
+    multiple of 4, delta_iss rounds it up and each suite makes its own call.
+    """
+    tau = abstraction.tau
+    pairs = _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pairs, seed)
+    d_group, d_steps = _delta_iss_group(a, a2, u, u2, w, w2, n_paths, steps)
+    b_group = pairs.group(paths_per_pair, steps)
+    if d_steps == steps:
+        (d_vals, d_div), (b_vals, b_div) = simulate_groups(sys, [d_group, b_group], tau, steps, seed)
+    else:
+        [(d_vals, d_div)] = simulate_groups(sys, [d_group], tau, d_steps, seed)
+        [(b_vals, b_div)] = simulate_groups(sys, [b_group], tau, steps, seed)
+    return (
+        _delta_iss_report(kit, tau, d_steps, d_group, d_vals, d_div),
+        _bisim_report(sys, cert, tau, steps, pairs, paths_per_pair, b_vals, b_div),
     )
-    endpoints = vals[:, 0, :].reshape(n_pairs, paths_per_pair, sys.n)
-    div = diverged.reshape(n_pairs, paths_per_pair)
-    dt = tau / steps
-    slack = _integration_slack(dt, float(np.abs(box).max()))
-    report = BoundReport(
-        check="bisim_step", n_paths=total, diverged=int(diverged.sum()), skipped=skipped
-    )
-    for pi in range(n_pairs):
-        okmask = ~div[pi]
-        vvals = cert.value(targets[pi][:, None], endpoints[pi][okmask].T)
-        mean, se = _mean_se(vvals)
-        report.rows.append(
-            BoundRow(
-                check=report.check,
-                label=f"pair{pi}",
-                empirical=mean,
-                std_error=se,
-                bound=level,
-                passed=mean <= level + 3.0 * se + slack,
-            )
-        )
-    return report

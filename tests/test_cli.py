@@ -137,26 +137,87 @@ VALIDATE_PINS = {
 }
 
 
-def test_validate_shares_one_ensemble_between_moment_suites(tmp_path, capsys, monkeypatch):
-    calls = []
-    simulate = mcvalidate.simulate_ensemble
+def _count_ensemble_passes(monkeypatch):
+    """Record the simulate_ensemble calls and the group count of every simulate_groups call."""
+    ensembles, groups = [], []
+    simulate, grouped = mcvalidate.simulate_ensemble, mcvalidate.simulate_groups
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        ensembles.append(args)
         return simulate(*args, **kwargs)
 
+    def counted_groups(sys, g, *args, **kwargs):
+        groups.append(len(g))
+        return grouped(sys, g, *args, **kwargs)
+
     monkeypatch.setattr(mcvalidate, "simulate_ensemble", counted)
+    monkeypatch.setattr(mcvalidate, "simulate_groups", counted_groups)
+    return ensembles, groups
+
+
+def _assert_pins(out, pins):
+    for name, digest in pins.items():
+        assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest, name
+
+
+def test_validate_shares_one_ensemble_between_moment_suites(tmp_path, capsys, monkeypatch):
+    ensembles, groups = _count_ensemble_passes(monkeypatch)
     out = tmp_path / "val"
     assert main(["validate", SCALAR, "--tau", "0.5", "--paths", "400", "--steps", "256",
                  "--out", str(out)]) == 0
-    assert len(calls) == 3  # moments (shared), delta_iss, bisim_step
-    for name, digest in VALIDATE_PINS.items():
-        assert hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest() == digest, name
+    # the moment suites share one simulate_ensemble call (one group), and
+    # delta_iss and bisim_step are the two groups of one grouped pass
+    assert len(ensembles) == 1
+    assert groups == [1, 2]
+    _assert_pins(out, VALIDATE_PINS)
     # the five s = t increment rows are all zero and stay out of the worst margin
     stdout = capsys.readouterr().out
     margin = re.search(r"^increment_bound: pass \(15 rows, diverged 0, worst margin (\S+)\)$",
                        stdout, flags=re.M)
     assert margin and float(margin.group(1)) > 0
+
+
+# sha256 of the reports of `validate scalar.sys --tau 0.5` with these
+# flags at the default seed, from the code that ran delta_iss and
+# bisim_step on separate ensembles
+VALIDATE_CASE_PINS = {
+    # 50 delta_iss paths against 100 pairs x 2 paths
+    "paths-50-pairs-100": (["--paths", "50", "--pairs", "100"], [1, 2], {
+        "moment_closeness": "a7e74ef7b73053bc6c16541585d2bcd97eec7125066c2fcdfa26b297210b8160",
+        "increment_bound": "23777d9ce580993d43655fd481469c2dea31441b2bbb91c4582096b0fbdb16c8",
+        "delta_iss": "e18b052917e83c5284c47ca30a5b98776dd2d382fd3491d54a4dcfb6397a0b33",
+        "bisim_step": "72f1490569839fc6f5f0536fad44231b09a6f3cced05c7ab177adfa27f2d0ab4",
+    }),
+    # delta_iss rounds 250 steps up to 252, so each suite makes its own pass
+    "steps-250": (["--steps", "250"], [1, 1, 1], {
+        "moment_closeness": "0ee117126ff638c511d0ef622b7694f81dd33100729fe08b6d1a2a31d3d4d944",
+        "increment_bound": "a174597728529a8349b442dcb60118859446d6aa7eb0a3da35d2de4a0f012d28",
+        "delta_iss": "7acd4280b3884751ef57bf1731983f5e35cbf475ce63873ac770e3fbb11b023c",
+        "bisim_step": "1754215c5743f57b8087702eb12d19a62fdc5ab699a4b2e0a38c62c97af9dcf1",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASE_PINS))
+def test_validate_reports_are_pinned(case, tmp_path, monkeypatch):
+    flags, passes, pins = VALIDATE_CASE_PINS[case]
+    _, groups = _count_ensemble_passes(monkeypatch)
+    out = tmp_path / "val"
+    assert main(["validate", SCALAR, "--tau", "0.5", *flags, "--out", str(out)]) == 0
+    assert groups == passes
+    _assert_pins(out, pins)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--pairs", "0"], ["--pairs", "-1"], ["--steps", "0"], ["--steps", "-4"], ["--paths", "0"]],
+    ids=["pairs-zero", "pairs-negative", "steps-zero", "steps-negative", "paths-zero"],
+)
+def test_validate_nonpositive_count_is_usage_error(flags, tmp_path, capsys):
+    assert main(["validate", SCALAR, "--tau", "0.5", *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} must be positive") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):

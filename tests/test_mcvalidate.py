@@ -10,7 +10,9 @@ from stochabs.expr import Bin, Lit, Pow, Var
 from stochabs.mcvalidate import (
     simulate_em,
     simulate_ensemble,
+    simulate_groups,
     validate_bisim_step,
+    validate_coupled,
     validate_delta_iss,
     validate_increment_bound,
     validate_moment_closeness,
@@ -142,6 +144,52 @@ def test_paired_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
         assert div[k] == (min(d0[k], d1[k]) <= R2_STEPS)
         assert np.array_equal(vals[0, k], p0.states[np.minimum(R2_CKPT, stop0)])
         assert np.array_equal(vals[1, k], p1.states[np.minimum(R2_CKPT, stop1)])
+
+
+def _groups_match_separate_runs(model, groups, tau, steps, chunk):
+    """simulate_groups over groups, checked against one simulate_ensemble call per group."""
+    with np.errstate(all="ignore"):
+        fused = simulate_groups(model, groups, tau, steps, SEED, chunk=chunk)
+        for (configs, n_paths, ckpt), (vals, div) in zip(groups, fused):
+            pair = configs[1] if len(configs) > 1 else None
+            alone, alone_div = simulate_ensemble(
+                model, *configs[0], tau, steps, n_paths, SEED, ckpt, chunk=chunk, pair_with=pair
+            )
+            assert vals.shape == (len(configs), n_paths, len(ckpt), model.n)
+            assert np.array_equal(vals, alone if pair is not None else alone[None])
+            assert np.array_equal(div, alone_div)
+    return fused
+
+
+def test_grouped_divergence_stays_in_its_group(coupled2):
+    # the pair diverges on some paths; the same paths of the quiet group do not
+    pair = ([(R2_X0, [0.05], [0.1]), (R2_X0[::-1].copy(), [-0.05], [-0.1])], len(R2_X0), R2_CKPT)
+    quiet = ([(0.2 * R2_X0, [0.05], [0.1])], len(R2_X0), R2_CKPT[::2])
+    for groups in ([pair, quiet], [quiet, pair]):
+        fused = _groups_match_separate_runs(coupled2, groups, 1.0, R2_STEPS, chunk=16)
+        div = {len(configs): d for (configs, _, _), (_, d) in zip(groups, fused)}
+        assert div[2].any() and not div[1].any()
+
+
+def test_grouped_path_counts_differ(scalar_model):
+    # as validate --paths 50 --pairs 100 runs them: 50 delta_iss paths and
+    # 100 pairs x 2 paths, in chunks of 64 that the smaller group ends inside
+    pair = ([([0.5], [0.1], [0.3]), ([-0.5], [-0.1], [-0.3])], 50, [64, 128, 192, 256])
+    rows = np.linspace(-1.0, 1.0, 200)[:, None]
+    per_path = ([(rows, 0.1 * rows, 0.3 * rows[::-1])], 200, [256])
+    fused = _groups_match_separate_runs(scalar_model, [pair, per_path], 0.5, 256, chunk=64)
+    assert [v.shape[1] for v, _ in fused] == [50, 200]
+
+
+def test_grouped_two_dimensional_with_inputs_and_disturbances(coupled2):
+    # 2-D, r = 2, nonzero u and w, over more than one noise block
+    x0 = 0.3 * R2_X0[:25]
+    pair = ([(x0, [0.05], [0.1]), (x0[::-1].copy(), [-0.05], [-0.1])], 25, [0, 300, 512, 600])
+    us = np.linspace(-0.1, 0.1, 40)[:, None]
+    ws = np.linspace(0.2, -0.2, 40)[:, None]
+    per_path = ([(0.3 * R2_X0, us, ws)], 40, [600])
+    fused = _groups_match_separate_runs(coupled2, [pair, per_path], 1.0, 600, chunk=16)
+    assert not any(d.any() for _, d in fused)
 
 
 def test_ensemble_memory_does_not_grow_with_steps(scalar_model):
@@ -315,6 +363,29 @@ def test_bisim_step_passes(scalar_model, scalar_cert, scalar_kit):
         n_pairs=40, paths_per_pair=50, seed=SEED,
     )
     assert rep.passed and rep.skipped == 0
+
+
+@pytest.mark.parametrize("steps", [256, 250])
+def test_coupled_suites_match_separate_suites(steps, scalar_model, scalar_cert, scalar_kit):
+    # 250 steps: delta_iss rounds up to 252, so each suite runs its own pass
+    tau, eps, etn = 0.5, 3.2, 0.1
+    eta, omega = _frozen_params(scalar_model, scalar_cert, scalar_kit, tau, eps, etn)
+    a = gridabs.build_abstraction(
+        scalar_model, tau, eta, omega, eps=eps, eps_tilde=(etn,), cert=scalar_cert
+    )
+    cfg = dict(a=[0.5], a2=[-0.5], u=[0.1], u2=[-0.1], w=[0.3], w2=[-0.3])
+    delta, bisim = validate_coupled(
+        scalar_model, scalar_cert, scalar_kit, a, eps, **cfg, eps_tilde_norm=etn,
+        n_paths=300, n_pairs=30, paths_per_pair=5, seed=SEED, steps=steps,
+    )
+    assert delta == validate_delta_iss(
+        scalar_model, scalar_kit, tau, **cfg, n_paths=300, seed=SEED, steps=steps
+    )
+    assert bisim == validate_bisim_step(
+        scalar_model, scalar_cert, scalar_kit, a, eps, eps_tilde_norm=etn,
+        n_pairs=30, paths_per_pair=5, seed=SEED, steps=steps,
+    )
+    assert len(delta.rows) == 4 and len(bisim.rows) == 30 and bisim.n_paths == 150
 
 
 def test_bisim_step_deterministic_contraction(scalar_det_model, det_cert, det_kit):
