@@ -22,7 +22,7 @@ from .certify import (
     precision_lower_bound,
     verify_certificate,
 )
-from .cmpfun import Compose, KLFunction, PowerLaw, Sum, Zero
+from .cmpfun import Compose, KLFunction, PowerLaw, Zero
 from .errors import StochabsError
 from .gridabs import (
     FiniteAbstraction,

@@ -14,9 +14,10 @@ successor sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import FormatError, ModelError
+from .errors import FormatError, ModelError, ParameterError
 from .gridabs import FiniteAbstraction, _g17
 
 _TOL = 1e-12
@@ -42,9 +43,6 @@ class RelationTable:
     eps: float
     eps_tilde: tuple
 
-    def __contains__(self, pair):
-        return pair in self.pairs
-
     def __len__(self):
         return len(self.pairs)
 
@@ -61,6 +59,12 @@ class CheckResult:
     valid: bool
     pair: tuple | None = None
     clause: str | None = None  # 'a', 'b' or 'c'
+
+
+def _check_precisions(eps, eps_tilde, error):
+    """Require eps and every eps_tilde component to be finite and nonnegative."""
+    if not all(0.0 <= v < math.inf for v in (eps, *eps_tilde)):
+        raise error(f"precisions must be finite and nonnegative, got eps {eps}, eps_tilde {eps_tilde}")
 
 
 def _state_dist(s1, s2, i, j):
@@ -151,6 +155,7 @@ def largest_bisimulation(
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     eps_tilde = tuple(eps_tilde)
+    _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     current = {
@@ -211,4 +216,5 @@ def load_relation(path):
             raise FormatError("pair count mismatch")
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed relation file: {exc}") from None
+    _check_precisions(eps, eps_tilde, FormatError)
     return RelationTable(pairs=pairs, eps=eps, eps_tilde=eps_tilde), left, right

@@ -26,7 +26,7 @@ from .cmpfun import (
     scale,
 )
 from .errors import CertificateError, ParameterError
-from .sysdsl import SysModel, sample_box
+from .sysdsl import SysModel, inf_norm, sample_box
 
 _E = math.e
 _PITCH_TRIES = 60  # input pitches tried by search_input_pitch
@@ -36,10 +36,6 @@ def _sym_sqrt(mat):
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _inf_norm(mat):
-    return float(np.abs(mat).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,8 @@ class QuadraticCertificate:
             lw=float(lw),
             lambda_min=lam_min,
             lambda_max=lam_max,
-            sqrt_p_norm=_inf_norm(_sym_sqrt(p)),
-            hess_sqrt_norm_sq=_inf_norm(_sym_sqrt(block)) ** 2,
+            sqrt_p_norm=float(inf_norm(np.abs(_sym_sqrt(p)).sum(axis=1))),
+            hess_sqrt_norm_sq=float(inf_norm(np.abs(_sym_sqrt(block)).sum(axis=1))) ** 2,
         )
 
     @classmethod
@@ -243,14 +239,6 @@ class BoundKit:
     l_sigma: float
 
 
-def sup_inf_norm(box) -> float:
-    """sup of the infinity norm over an axis-aligned box."""
-    box = np.asarray(box, float)
-    if box.shape[0] == 0:
-        return 0.0
-    return float(np.abs(box).max())
-
-
 def sup_two_norm_sq(box) -> float:
     """sup of the squared 2-norm over an axis-aligned box."""
     box = np.asarray(box, float)
@@ -322,9 +310,10 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float, dist_box=None) -> fl
     if t == 0.0 or kit.l_sigma == 0.0:
         return 0.0
     wbox = sys.dist_box if dist_box is None else dist_box
-    sup_d2 = sup_inf_norm(sys.domain) ** 2
-    sup_u = sup_inf_norm(sys.input_box)
-    sup_w2 = sup_inf_norm(wbox) ** 2
+    # sup of the infinity norm over a box: the largest absolute bound
+    sup_d2 = inf_norm(np.ravel(sys.domain)) ** 2
+    sup_u = inf_norm(np.ravel(sys.input_box))
+    sup_w2 = inf_norm(np.ravel(wbox)) ** 2
     k = kit.kappa
     base_val = kit.beta.base(sup_d2)
     const_val = kit.rho_u(sup_u) + kit.rho_d(sup_w2)

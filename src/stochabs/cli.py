@@ -53,6 +53,12 @@ def _load_network(path):
     return obj
 
 
+def _require_positive(args, *flags):
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
+
+
 def _certificate(sys_model, args):
     if getattr(args, "kappa", None) is not None and getattr(args, "p_matrix", None) is not None:
         p = [[float(v) for v in row.split()] for row in args.p_matrix.split(";")]
@@ -63,6 +69,7 @@ def _certificate(sys_model, args):
 
 
 def cmd_lint(args):
+    _require_positive(args, "samples")
     obj = sysdsl.load(args.file)
     models = obj.nodes if isinstance(obj, sysdsl.NetworkSpec) else [obj]
     names = obj.node_names if isinstance(obj, sysdsl.NetworkSpec) else [obj.name]
@@ -79,6 +86,7 @@ def cmd_lint(args):
 
 
 def cmd_certify(args):
+    _require_positive(args, "samples")
     model = _load_system(args.file)
     cert = _certificate(model, args)
     report = certify.verify_certificate(
@@ -117,6 +125,7 @@ def cmd_certify(args):
 
 
 def cmd_params(args):
+    _require_positive(args, "samples")
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
         result = netcomp.synthesize_params(obj, seed=args.seed)
@@ -197,7 +206,7 @@ def cmd_abstract(args):
                 if node.reason:
                     print(f"infeasible: {node.name}: {node.reason}", file=_sys.stderr)
             return 1
-        etas = {i: node.eta for i, node in enumerate(result.nodes)}
+        etas = result.etas()
         omegas = {i: node.omega for i, node in enumerate(result.nodes)}
         for i, name in enumerate(obj.node_names):
             abs_i = netcomp.build_node_abstraction(
@@ -281,9 +290,7 @@ def cmd_bisim(args):
 
 
 def cmd_validate(args):
-    for flag in ("paths", "pairs", "steps"):
-        if getattr(args, flag) < 1:
-            raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
+    _require_positive(args, "paths", "pairs", "steps")
     model = _load_system(args.file)
     cert = _certificate(model, args)
     report = certify.verify_certificate(model, cert, mode="sampled", samples=2000, seed=args.seed)

@@ -2,10 +2,9 @@
 
 Every bound formula in this package is assembled from strictly increasing
 functions of a nonnegative real that vanish at zero (class-K envelopes).
-The algebra is deliberately small -- power laws, finite sums, and
-compositions -- because the quantization-parameter formulas need inverses,
-and this family has them: power laws and compositions invert in closed
-form, sums invert by monotone bisection.
+The algebra is deliberately small -- power laws and their compositions --
+because the quantization-parameter formulas need inverses, and this
+family has them in closed form.
 
 Symbolic simplification is intentionally absent; values are combined
 structurally and evaluated on demand.
@@ -17,9 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InversionError
-
-#: Absolute tolerance on the *argument* returned by bisection inverses.
-BISECT_TOL = 1e-12
 
 
 class ComparisonFunction:
@@ -41,8 +37,8 @@ class ComparisonFunction:
     def invert(self, y: float) -> float:
         """Return x with self(x) = y.
 
-        Closed form for power laws and compositions; monotone bisection
-        for sums.  Raises InversionError when y is outside the range.
+        Closed form for power laws and compositions.  Raises
+        InversionError when y is outside the range.
         """
         y = float(y)
         if y < 0.0 or math.isnan(y):
@@ -54,11 +50,6 @@ class ComparisonFunction:
     def _invert(self, y: float) -> float:
         raise NotImplementedError
 
-    def __add__(self, other: "ComparisonFunction") -> "ComparisonFunction":
-        if isinstance(other, Zero):
-            return self
-        return Sum((self, other))
-
 
 @dataclass(frozen=True)
 class Zero(ComparisonFunction):
@@ -69,9 +60,6 @@ class Zero(ComparisonFunction):
 
     def _invert(self, y):
         raise InversionError("the zero function has no inverse above 0")
-
-    def __add__(self, other):
-        return other
 
 
 @dataclass(frozen=True)
@@ -92,42 +80,6 @@ class PowerLaw(ComparisonFunction):
 
     def _invert(self, y):
         return (y / self.coef) ** (1.0 / self.exponent)
-
-
-@dataclass(frozen=True)
-class Sum(ComparisonFunction):
-    """Pointwise sum of two or more gain functions."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("Sum needs at least one term")
-
-    def _eval(self, r):
-        return sum(t._eval(r) for t in self.terms)
-
-    def _invert(self, y):
-        # Monotone bisection: guaranteed convergence, unlike Newton steps
-        # on nearly-flat stretches.  Converges to 1e-12 relative on the
-        # argument (absolute for arguments above one).
-        hi = 1.0
-        for _ in range(200):
-            if self._eval(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise InversionError(f"value {y} not reached (function bounded?)")
-        lo = 0.0
-        for _ in range(500):
-            if hi - lo <= BISECT_TOL * min(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if self._eval(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -155,24 +107,13 @@ def exact_inverse(f: ComparisonFunction) -> ComparisonFunction:
     """The inverse *function* of f, for variants that invert in closed form.
 
     PowerLaw(c, e) inverts to PowerLaw(c**(-1/e), 1/e); compositions invert
-    by swapping.  Sums and Zero have no closed-form inverse and raise.
+    by swapping.  Zero has no inverse and raises.
     """
     if isinstance(f, PowerLaw):
         return PowerLaw(f.coef ** (-1.0 / f.exponent), 1.0 / f.exponent)
     if isinstance(f, Compose):
         return Compose(exact_inverse(f.inner), exact_inverse(f.outer))
     raise InversionError(f"no closed-form inverse for {type(f).__name__}")
-
-
-def is_linear(f: ComparisonFunction) -> bool:
-    """True when f is r -> c*r for some constant c (exact structural test)."""
-    if isinstance(f, PowerLaw):
-        return f.exponent == 1.0
-    if isinstance(f, Compose):
-        return is_linear(f.outer) and is_linear(f.inner)
-    if isinstance(f, Sum):
-        return all(is_linear(t) for t in f.terms)
-    return isinstance(f, Zero)
 
 
 @dataclass(frozen=True)

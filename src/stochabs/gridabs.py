@@ -111,19 +111,15 @@ class Lattice:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.kmin, self.kmax)]
         return [self.coords(kvec) for kvec in itertools.product(*ranges)]
 
-    def quantize_k(self, point):
-        """Nearest lattice indices; exact midpoints round toward +infinity."""
-        out = []
-        for v, a, h in zip(point, self.anchor, self.pitch):
-            if h == 0.0:
-                out.append(0)
-            else:
-                out.append(math.floor((v - a) / (2.0 * h) + 0.5))
-        return tuple(out)
-
     def quantize(self, point, clip=False):
-        """Nearest lattice point (optionally clipped into the box range)."""
-        kvec = self.quantize_k(point)
+        """Nearest lattice point (optionally clipped into the box range).
+
+        Exact midpoints round toward +infinity.
+        """
+        kvec = tuple(
+            0 if h == 0.0 else math.floor((v - a) / (2.0 * h) + 0.5)
+            for v, a, h in zip(point, self.anchor, self.pitch)
+        )
         if clip:
             kvec = tuple(min(max(k, lo), hi) for k, lo, hi in zip(kvec, self.kmin, self.kmax))
         return self.coords(kvec)
@@ -460,7 +456,7 @@ def _parse_body(lines) -> FiniteAbstraction:
         dist_blocks.append(int(size))
         dist_block_nodes.append("" if node == "-" else node)
 
-    def section(label):
+    def section(label, width):
         toks = take().split()
         if len(toks) != 2 or toks[0] != label:
             raise FormatError(f"missing {label} section")
@@ -469,14 +465,16 @@ def _parse_body(lines) -> FiniteAbstraction:
             parts = take().split()
             if int(parts[0]) != i:
                 raise FormatError(f"{label} indices out of order")
+            if len(parts) - 1 != width:
+                raise ValueError(f"{label[:-1]} {i} has {len(parts) - 1} coordinates, expected {width}")
             items.append(tuple(float(v) for v in parts[1:]))
         return tuple(items)
 
-    states = section("states")
-    inputs = section("inputs")
-    dists = section("dists")
+    states = section("states", len(eta))
+    inputs = section("inputs", len(omega))
+    dists = section("dists", sum(dist_blocks))
     if node_dims is None:
-        node_dims = (len(states[0]) if states else len(eta),)
+        node_dims = (len(eta),)
     toks = take().split()
     if len(toks) != 2 or toks[0] != "transitions":
         raise FormatError("missing transitions section")

@@ -228,25 +228,18 @@ def simulate_ensemble(
     seed,
     checkpoint_steps,
     chunk=4096,
-    pair_with=None,
 ):
-    """Vectorized ensemble; returns (values, diverged mask).
+    """Vectorized ensemble of one configuration; returns (values, diverged mask).
 
     x0/u/w may be single vectors or per-path (n_paths, dim) arrays of
     constants.  values has shape (n_paths, len(checkpoint_steps), n).
-    pair_with, when given, is a second (x0, u, w) configuration evolved
-    with the *same* noise; values then gains a leading axis of size 2.
-    This is one group of simulate_groups: a path whose state turns
-    non-finite or exceeds the limit in either configuration is flagged
-    and both configurations freeze.
+    This is simulate_groups with one group of one configuration; several
+    configurations that share the noise are groups of simulate_groups.
     """
-    configs = [(x0, u, w)] + ([pair_with] if pair_with is not None else [])
     [(values, diverged)] = simulate_groups(
-        sys, [(configs, n_paths, checkpoint_steps)], tau, steps, seed, chunk
+        sys, [([(x0, u, w)], n_paths, checkpoint_steps)], tau, steps, seed, chunk
     )
-    if pair_with is None:
-        return values[0], diverged
-    return values, diverged
+    return values[0], diverged
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +268,15 @@ class BoundReport:
         if self.n_paths and self.diverged > 0.01 * self.n_paths:
             return False
         return all(r.passed for r in self.rows)
+
+    def add(self, label, samples, bound, slack=0.0):
+        """Append the row of samples against bound.
+
+        The row passes when the sample mean is at most bound + slack plus
+        three standard errors.
+        """
+        mean, se = _mean_se(samples)
+        self.rows.append(BoundRow(self.check, label, mean, se, bound, mean <= bound + 3.0 * se + slack))
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -336,18 +338,7 @@ def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist
         t = ks * dt
         ref = flow_nominal(sys, x0, u, w, t, tol=1e-12).endpoint
         gap = np.abs(vals[ok, idx, :] - ref).max(axis=1) ** 2
-        mean, se = _mean_se(gap)
-        bound = noise_gap_bound(kit, sys, t, dist_box=dist_box)
-        report.rows.append(
-            BoundRow(
-                check=report.check,
-                label=f"{t:.6g}",
-                empirical=mean,
-                std_error=se,
-                bound=bound,
-                passed=mean <= bound + 3.0 * se + slack,
-            )
-        )
+        report.add(f"{t:.6g}", gap, noise_gap_bound(kit, sys, t, dist_box=dist_box), slack)
     return report
 
 
@@ -363,18 +354,7 @@ def _increment_report(sys, x0, tau, steps, ckpt, vals, diverged):
                 continue
             s_t, t_t = ks * dt, kt * dt
             inc = ((vals[ok, j, :] - vals[ok, i, :]) ** 2).sum(axis=1)
-            mean, se = _mean_se(inc)
-            bound = c * (t_t - s_t)
-            report.rows.append(
-                BoundRow(
-                    check=report.check,
-                    label=f"({s_t:.6g},{t_t:.6g})",
-                    empirical=mean,
-                    std_error=se,
-                    bound=bound,
-                    passed=mean <= bound + 3.0 * se,
-                )
-            )
+            report.add(f"({s_t:.6g},{t_t:.6g})", inc, c * (t_t - s_t))
     return report
 
 
@@ -473,18 +453,7 @@ def _delta_iss_report(kit, tau, steps, group, vals, diverged):
     for idx, ks in enumerate(ckpt):
         t = ks * dt
         dist = np.abs(vals[0][ok, idx, :] - vals[1][ok, idx, :]).max(axis=1) ** 2
-        mean, se = _mean_se(dist)
-        bound = kit.beta(da, t) + offset
-        report.rows.append(
-            BoundRow(
-                check=report.check,
-                label=f"{t:.6g}",
-                empirical=mean,
-                std_error=se,
-                bound=bound,
-                passed=mean <= bound + 3.0 * se,
-            )
-        )
+        report.add(f"{t:.6g}", dist, kit.beta(da, t) + offset)
     return report
 
 
@@ -611,17 +580,7 @@ def _bisim_report(sys, cert, tau, steps, pairs: _BisimPairs, paths_per_pair, val
     for pi in range(n_pairs):
         okmask = ~div[pi]
         vvals = cert.value(pairs.targets[pi][:, None], endpoints[pi][okmask].T)
-        mean, se = _mean_se(vvals)
-        report.rows.append(
-            BoundRow(
-                check=report.check,
-                label=f"pair{pi}",
-                empirical=mean,
-                std_error=se,
-                bound=pairs.level,
-                passed=mean <= pairs.level + 3.0 * se + slack,
-            )
-        )
+        report.add(f"pair{pi}", vvals, pairs.level, slack)
     return report
 
 

@@ -41,10 +41,6 @@ def neighbors_of_set(spec: NetworkSpec, subset) -> tuple:
     return tuple(sorted(result))
 
 
-def node_lattice(spec: NetworkSpec, j: int, eta_j) -> Lattice:
-    return Lattice.create(spec.nodes[j].domain, eta_j)
-
-
 def build_wtilde(spec: NetworkSpec, i: int, etas, max_symbols: int = 100_000):
     """Disturbance alphabet of node i: the product of neighbour lattices.
 
@@ -56,7 +52,7 @@ def build_wtilde(spec: NetworkSpec, i: int, etas, max_symbols: int = 100_000):
     if not nbrs:
         p = spec.nodes[i].p
         return ((0.0,) * p,), (1,) * p, ("",) * p
-    grids = [node_lattice(spec, j, etas[j]) for j in nbrs]
+    grids = [Lattice.create(spec.nodes[j].domain, etas[j]) for j in nbrs]
     total = math.prod(g.count for g in grids)
     if total > max_symbols:
         raise AbstractionError(f"disturbance alphabet needs {total} symbols, cap is {max_symbols}")

@@ -122,12 +122,6 @@ class NetworkSpec:
             raise ModelError(f"unknown node index {i}")
         return tuple(sorted(j for (j, k) in self.edges if k == i))
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise ModelError(f"unknown node {name!r}") from None
-
 
 def check_equilibrium(sys: SysModel):
     """Require f(0,0,0) = 0 and sigma(0) = 0 (needed before abstraction)."""
@@ -476,9 +470,12 @@ def sample_box(rng, box, count=None):
     return lo[:, None] + (hi - lo)[:, None] * rng.random((box.shape[0], count))
 
 
-def _mat_inf_norm(a):
-    # max absolute row sum; works on stacked (n, r, N) arrays along axes (0, 1)
-    return np.abs(a).sum(axis=1).max(axis=0)
+def inf_norm(a):
+    """Infinity norm along the leading axis; a zero-length axis gives 0.
+
+    The matrix norm (max absolute row sum) of m is inf_norm(np.abs(m).sum(axis=1)).
+    """
+    return np.abs(a).max(axis=0, initial=0.0)
 
 
 def check_regularity(sys: SysModel, samples: int = 2000, seed: int = 0) -> RegularityReport:
@@ -496,24 +493,22 @@ def check_regularity(sys: SysModel, samples: int = 2000, seed: int = 0) -> Regul
 
     f1 = sys.drift_eval(x, u, w)
     f2 = sys.drift_eval(x2, u2, w2)
-    num = np.abs(f1 - f2).max(axis=0)
-    den = sys.lf * (
-        _vec_norm(x - x2) + _vec_norm(u - u2) + _vec_norm(w - w2)
-    )
+    num = inf_norm(f1 - f2)
+    den = sys.lf * (inf_norm(x - x2) + inf_norm(u - u2) + inf_norm(w - w2))
     with np.errstate(divide="ignore", invalid="ignore"):
         f_ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.where(num > 0, np.inf, 0.0))
     worst_f = int(np.argmax(f_ratio))
 
     s1 = sys.diffusion_eval(x)
     s2 = sys.diffusion_eval(x2)
-    snum = _mat_inf_norm(s1 - s2)
-    sden = sys.lsigma * _vec_norm(x - x2)
+    snum = inf_norm(np.abs(s1 - s2).sum(axis=1))
+    sden = sys.lsigma * inf_norm(x - x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         s_ratio = np.where(sden > 0, snum / np.where(sden > 0, sden, 1.0), np.where(snum > 0, np.inf, 0.0))
     worst_s = int(np.argmax(s_ratio))
 
-    growth_lhs = np.maximum(_vec_norm(f1) ** 2, _mat_inf_norm(s1) ** 2)
-    growth_rhs = sys.growth_k * (1.0 + _vec_norm(x) ** 2)
+    growth_lhs = np.maximum(inf_norm(f1) ** 2, inf_norm(np.abs(s1).sum(axis=1)) ** 2)
+    growth_rhs = sys.growth_k * (1.0 + inf_norm(x) ** 2)
     g_ratio = growth_lhs / growth_rhs
     worst_g = int(np.argmax(g_ratio))
 
@@ -540,10 +535,3 @@ def check_regularity(sys: SysModel, samples: int = 2000, seed: int = 0) -> Regul
         worst_growth_ratio=float(g_ratio[worst_g]),
         witness=witness,
     )
-
-
-def _vec_norm(a):
-    # infinity norm along the leading axis; zero-dimensional blocks give 0
-    if a.shape[0] == 0:
-        return np.zeros(a.shape[1:])
-    return np.abs(a).max(axis=0)

@@ -220,6 +220,21 @@ def test_validate_nonpositive_count_is_usage_error(flags, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lint", SCALAR, "--samples", "0"],
+        ["certify", SCALAR, "--mode", "sampled", "--samples", "-3"],
+        ["params", SCALAR, "--tau", "0.5", "--eps", "3.2", "--samples", "0"],
+    ],
+    ids=["lint-zero", "certify-sampled-negative", "params-zero"],
+)
+def test_nonpositive_samples_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples must be positive") and "Traceback" not in err
+
+
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     _scalar_abs_body(tmp_path)
     left = str(tmp_path / "abs" / "scalar1.abs")
@@ -240,8 +255,15 @@ def test_report_empty_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "pattern,repl",
-    [(r"^(tau \S+) eta \S+", r"\1"), (r"^states 5$", "states five")],
-    ids=["tau-line-without-eta", "non-integer-count"],
+    [
+        (r"^(tau \S+) eta \S+", r"\1"),
+        (r"^states 5$", "states five"),
+        (r"^(3 0\.5)$", r"\1 0.5"),
+        (r"^(inputs 1\n0) 0$", r"\1"),
+        (r"^(dists 1\n0 0)$", r"\1 0"),
+    ],
+    ids=["tau-line-without-eta", "non-integer-count", "state-extra-coordinate",
+         "input-missing-coordinate", "dist-extra-coordinate"],
 )
 def test_bisim_malformed_abs_is_usage_error(pattern, repl, tmp_path, capsys):
     body = _scalar_abs_body(tmp_path)
@@ -307,6 +329,38 @@ def test_bisim_check_rejects_relation_pair_out_of_range(tmp_path, capsys):
     rel.write_text(text.replace(f"pairs {count}\n", f"pairs {count + 1}\n") + "99999 0\n")
     assert main(["bisim", left, left, "--check", str(rel)]) == 2
     assert "relation pair (99999, 0) is outside the 5 x 5 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--eps", "nan"], ["--eps", "-0.1"], ["--eps", "0.3", "--eps-tilde", "nan"],
+     ["--eps", "0.3", "--eps-tilde", "-0.1"]],
+    ids=["eps-nan", "eps-negative", "eps-tilde-nan", "eps-tilde-negative"],
+)
+def test_bisim_rejects_bad_precision(flags, tmp_path, capsys):
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    assert main(["bisim", left, left, *flags]) == 2
+    assert "precisions must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "precision",
+    [["eps nan", "epstilde 0"], ["eps -0.1", "epstilde 0"], ["eps inf", "epstilde 0"],
+     ["eps 0.3", "epstilde nan"], ["eps 0.3", "epstilde -0.5"]],
+    ids=["eps-nan", "eps-negative", "eps-inf", "epstilde-nan", "epstilde-negative"],
+)
+def test_bisim_check_rejects_bad_relation_precision(precision, tmp_path, capsys):
+    # all 25 pairs of the 5 states, some 2 apart: clause (a) refutes them for any valid eps
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    digest = gridabs.read_abstraction(left).content_hash()
+    pairs = [f"{i} {j}" for i in range(5) for j in range(5)]
+    rel = tmp_path / "all.rel"
+    rel.write_text("\n".join([bisimcheck.REL_HEADER, f"left {digest}", f"right {digest}",
+                              *precision, "pairs 25", *pairs]) + "\n")
+    assert main(["bisim", left, left, "--check", str(rel)]) == 2
+    assert "precisions must be finite and nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,8 @@ from stochabs.cmpfun import (
     Compose,
     KLFunction,
     PowerLaw,
-    Sum,
     Zero,
     exact_inverse,
-    is_linear,
     scale,
 )
 from stochabs.errors import InversionError
@@ -20,18 +18,14 @@ def random_fn(rng, depth=0):
     # Zero-free random member of the algebra, spanning the exponent range
     # the bound formulas actually produce (linear/quadratic and their
     # roots under composition).
-    pick = rng.random()
-    if depth >= 2 or pick < 0.5:
+    if depth >= 2 or rng.random() < 0.5:
         return PowerLaw(10.0 ** rng.uniform(-0.7, 0.7), rng.uniform(0.5, 2.0))
-    if pick < 0.75:
-        return Sum((random_fn(rng, depth + 1), random_fn(rng, depth + 1)))
     return Compose(random_fn(rng, depth + 1), random_fn(rng, depth + 1))
 
 
 def test_eval_examples():
     assert PowerLaw(2, 1)(3.0) == 6.0
     assert Compose(PowerLaw(1, 2), PowerLaw(3, 1))(2.0) == 36.0  # (3*2)^2
-    assert Sum((PowerLaw(1, 1), PowerLaw(1, 2)))(2.0) == 6.0
 
 
 def test_class_k_anchor():
@@ -53,8 +47,7 @@ def test_negative_argument_rejected():
 def test_invert_examples():
     assert PowerLaw(0.5, 1).invert(1.0) == 2.0
     assert PowerLaw(1, 2).invert(9.0) == 3.0
-    # 2 + 4 = 6, found by bisection
-    assert abs(Sum((PowerLaw(1, 1), PowerLaw(1, 2))).invert(6.0) - 2.0) <= 1e-9
+    assert Compose(PowerLaw(1, 2), PowerLaw(3, 1)).invert(36.0) == 2.0
 
 
 def test_invert_range_error():
@@ -97,22 +90,15 @@ def test_exact_inverse_closed_forms():
         r = 10.0 ** rng.uniform(-2, 1)
         assert g(f(r)) == pytest.approx(r, rel=1e-9)
     with pytest.raises(InversionError):
-        exact_inverse(Sum((PowerLaw(1, 1), PowerLaw(1, 2))))
+        exact_inverse(Zero())
 
 
 def test_scale_and_linearity():
     f = PowerLaw(3, 1)
     assert scale(f, 2.0)(5.0) == 30.0
     assert isinstance(scale(f, 0.0), Zero)
-    assert is_linear(f)
-    assert is_linear(Compose(PowerLaw(2, 1), PowerLaw(3, 1)))
-    assert not is_linear(PowerLaw(1, 2))
-
-
-def test_sum_with_zero_collapses():
-    f = PowerLaw(1, 1)
-    assert (f + Zero()) is f
-    assert (Zero() + f) is f
+    assert isinstance(scale(Zero(), 2.0), Zero)
+    assert exact_inverse(scale(f, 2.0))(30.0) == 5.0
 
 
 def test_kl_function():

@@ -126,11 +126,9 @@ def test_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
 
 def test_paired_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
     x0b = R2_X0[::-1].copy()
+    pair = ([(R2_X0, [0.05], [0.1]), (x0b, [-0.05], [-0.1])], len(R2_X0), R2_CKPT)
     with np.errstate(all="ignore"):
-        vals, div = simulate_ensemble(
-            coupled2, R2_X0, [0.05], [0.1], 1.0, R2_STEPS, len(R2_X0), SEED, R2_CKPT,
-            chunk=16, pair_with=(x0b, [-0.05], [-0.1]),
-        )
+        [(vals, div)] = simulate_groups(coupled2, [pair], 1.0, R2_STEPS, SEED, chunk=16)
     first = _r2_paths(coupled2, R2_X0, [0.05], [0.1])
     second = _r2_paths(coupled2, x0b, [-0.05], [-0.1])
     d0 = np.array([_stop(p) for p in first])
@@ -147,16 +145,14 @@ def test_paired_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
 
 
 def _groups_match_separate_runs(model, groups, tau, steps, chunk):
-    """simulate_groups over groups, checked against one simulate_ensemble call per group."""
+    """simulate_groups over groups, checked against one simulate_groups call per group."""
     with np.errstate(all="ignore"):
         fused = simulate_groups(model, groups, tau, steps, SEED, chunk=chunk)
-        for (configs, n_paths, ckpt), (vals, div) in zip(groups, fused):
-            pair = configs[1] if len(configs) > 1 else None
-            alone, alone_div = simulate_ensemble(
-                model, *configs[0], tau, steps, n_paths, SEED, ckpt, chunk=chunk, pair_with=pair
-            )
+        for group, (vals, div) in zip(groups, fused):
+            configs, n_paths, ckpt = group
+            [(alone, alone_div)] = simulate_groups(model, [group], tau, steps, SEED, chunk=chunk)
             assert vals.shape == (len(configs), n_paths, len(ckpt), model.n)
-            assert np.array_equal(vals, alone if pair is not None else alone[None])
+            assert np.array_equal(vals, alone)
             assert np.array_equal(div, alone_div)
     return fused
 
