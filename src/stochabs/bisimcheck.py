@@ -10,15 +10,28 @@ the challenger side is matched by a related successor on the responder
 side.  Set-valued successor matching is the standard alternating
 extension; it degenerates to the pointwise condition for singleton
 successor sets.
+
+Self-bisimulation (both sides equal by value, ``s1 == s2``, as when the
+CLI reads one file twice) takes a symmetric path.  Then the eps-close
+candidates are symmetric and so is every round's removal set, and on a
+symmetric relation clause (c) at (i, j) is clause (b) at (j, i).  So
+largest_bisimulation evaluates (b) once per ordered pair and removes
+each failing pair with its mirror, and check_relation, given a
+symmetric relation, reads (c) of (i, j) from a memo of (b) at (j, i).
+Both give exactly the general path's relation, rounds and first failing
+pair and clause.  Distinct sides, or an asymmetric relation to check,
+take the general path, which evaluates (b) and then (c) per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import FormatError, ModelError, ParameterError
 from .gridabs import FiniteAbstraction, _g17
+from .sysdsl import read_text
 
 _TOL = 1e-12
 
@@ -132,12 +145,25 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
         raise FormatError(f"relation pair {min(outside)} is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
+
+    def clause_b(i, j):
+        return _responds(s1, s2, i, j, rel.pairs, adm, flip=False)
+
+    def clause_c(i, j):
+        return _responds(s2, s1, j, i, rel.pairs, adm_flip, flip=True)
+
+    if s1 == s2 and all((j, i) in rel.pairs for (i, j) in rel.pairs):
+        clause_b = functools.cache(clause_b)
+
+        def clause_c(i, j):
+            return clause_b(j, i)
+
     for (i, j) in sorted(rel.pairs):
         if _state_dist(s1, s2, i, j) > rel.eps + _TOL:
             return CheckResult(valid=False, pair=(i, j), clause="a")
-        if not _responds(s1, s2, i, j, rel.pairs, adm, flip=False):
+        if not clause_b(i, j):
             return CheckResult(valid=False, pair=(i, j), clause="b")
-        if not _responds(s2, s1, j, i, rel.pairs, adm_flip, flip=True):
+        if not clause_c(i, j):
             return CheckResult(valid=False, pair=(i, j), clause="c")
     return CheckResult(valid=True)
 
@@ -150,13 +176,16 @@ def largest_bisimulation(
     Starts from every pair satisfying condition (a) and deletes violating
     pairs until none remain; monotone on a finite lattice, so this
     terminates, and the result contains every disturbance bisimulation
-    made of (a)-admissible pairs.
+    made of (a)-admissible pairs.  Each round removes every pair that
+    fails (b) or (c) against the relation at the start of the round.
     """
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     eps_tilde = tuple(eps_tilde)
     _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
+    if s1 == s2:
+        return _largest_self_bisimulation(s1, eps, eps_tilde, adm)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     current = {
         (i, j)
@@ -174,6 +203,32 @@ def largest_bisimulation(
         if not bad:
             break
         current.difference_update(bad)
+    return RelationTable(pairs=frozenset(current), eps=eps, eps_tilde=eps_tilde)
+
+
+def _largest_self_bisimulation(s, eps, eps_tilde, adm) -> RelationTable:
+    """largest_bisimulation(s, s): the same rounds at one (b) call per pair.
+
+    The candidates are symmetric, and if the relation is symmetric at the
+    start of a round, the general round removes {p : (b) fails at p or at
+    its mirror}, which is symmetric again.  So each round evaluates (b)
+    once per ordered pair and removes the failing pairs with their mirrors.
+    """
+    n = len(s.states)
+    current = set()
+    for i in range(n):
+        for j in range(i, n):
+            if _state_dist(s, s, i, j) <= eps + _TOL:
+                current.add((i, j))
+                current.add((j, i))
+    while True:
+        bad = [
+            (i, j) for (i, j) in current if not _responds(s, s, i, j, current, adm, flip=False)
+        ]
+        if not bad:
+            break
+        current.difference_update(bad)
+        current.difference_update((j, i) for (i, j) in bad)
     return RelationTable(pairs=frozenset(current), eps=eps, eps_tilde=eps_tilde)
 
 
@@ -199,8 +254,7 @@ def save_relation(rel: RelationTable, s1: FiniteAbstraction, s2: FiniteAbstracti
 
 def load_relation(path):
     """Read a relation file; returns (table, left_hash, right_hash)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, FormatError).splitlines()
     if not lines or lines[0] != REL_HEADER:
         raise FormatError(f"bad header (expected {REL_HEADER!r})")
     try:

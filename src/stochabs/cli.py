@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys as _sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bisimcheck, certify, gridabs, mcvalidate, netcomp, sysdsl
-from .errors import ParameterError, StochabsError
+from .errors import FormatError, ParameterError, StochabsError
 
 DEFAULT_SEED = 1729
 
@@ -59,9 +60,17 @@ def _require_positive(args, *flags):
             raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
 
 
+def _reals(text, flag):
+    """Parse the space-separated reals given to a string-valued flag."""
+    try:
+        return [float(v) for v in text.split()]
+    except ValueError:
+        raise ParameterError(f"{flag} expects space-separated reals, got {text!r}") from None
+
+
 def _certificate(sys_model, args):
     if getattr(args, "kappa", None) is not None and getattr(args, "p_matrix", None) is not None:
-        p = [[float(v) for v in row.split()] for row in args.p_matrix.split(";")]
+        p = [_reals(row, "--P") for row in args.p_matrix.split(";")]
         return certify.QuadraticCertificate.create(
             p, args.kappa, lu=sys_model.input_lipschitz, lw=sys_model.dist_lipschitz
         )
@@ -278,7 +287,7 @@ def cmd_bisim(args):
             return 0
         print(f"invalid: pair {result.pair} violates condition ({result.clause})")
         return 1
-    eps_tilde = tuple(float(v) for v in args.eps_tilde.split()) if args.eps_tilde else ()
+    eps_tilde = tuple(_reals(args.eps_tilde, "--eps-tilde")) if args.eps_tilde else ()
     rel = bisimcheck.largest_bisimulation(s1, s2, args.eps, eps_tilde)
     print(f"largest bisimulation: {len(rel)} pairs")
     if args.out:
@@ -371,8 +380,7 @@ def cmd_report(args):
     summary = [("file", "rows", "failures")]
     ok = True
     for path in files:
-        with open(path, encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(sysdsl.read_text(path, FormatError))))
         body = rows[1:] if rows and rows[0] and rows[0][0] in ("check", "quantity") else rows
         fails = sum(1 for r in body if r and r[-1] == "FAIL")
         summary.append((path.name, len(body), fails))

@@ -29,7 +29,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .errors import AbstractionError, FormatError, ParameterError
-from .sysdsl import SysModel, check_equilibrium
+from .sysdsl import SysModel, check_equilibrium, read_text
 
 #: Absolute slack on lattice membership and successor tests; prevents
 #: platform-dependent boundary flicker at exact ties.
@@ -344,9 +344,6 @@ class FiniteAbstraction:
     def dim(self):
         return sum(self.node_dims)
 
-    def successor_counts(self):
-        return [len(succ) for succ, _ in self.transitions.values()]
-
     def serialize(self) -> str:
         lines = [FORMAT_HEADER, f"system {self.system}"]
         if len(self.node_names) > 1:
@@ -530,8 +527,7 @@ def _check_table(transitions, count, n_s, n_u, n_d):
 
 
 def read_abstraction(path) -> FiniteAbstraction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    return deserialize(read_text(path, FormatError))
 
 
 # ---------------------------------------------------------------------------

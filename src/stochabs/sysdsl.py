@@ -355,9 +355,10 @@ def parse_network(text: str, base_dir=".") -> NetworkSpec:
                 raise ParseError(f"duplicate node name {node_name!r}", lineno)
             path = base / kv["file"]
             try:
-                model = parse_system(path.read_text(encoding="utf-8"))
-            except OSError as exc:
+                node_text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read node file {path}: {exc}", lineno) from None
+            model = parse_system(node_text)
             node_names.append(node_name)
             nodes.append(model)
             eps.append(_parse_real(kv["eps"], lineno, "eps"))
@@ -426,10 +427,18 @@ def _derive_dist_boxes(spec: NetworkSpec) -> NetworkSpec:
     return dataclasses.replace(spec, nodes=tuple(new_nodes))
 
 
+def read_text(path, error) -> str:
+    """Read a UTF-8 text file; bytes that do not decode raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load(path) -> SysModel | NetworkSpec:
     """Load a system or network file, dispatching on its first directive."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, ParseError)
     for _, line in _meaningful_lines(text):
         first = line.split()[0]
         if first == "network":

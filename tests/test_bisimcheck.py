@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,155 @@ def test_relation_file_roundtrip(tmp_path, scalar_model):
     assert loaded.pairs == rel.pairs
     assert loaded.eps == rel.eps and loaded.eps_tilde == rel.eps_tilde
     assert lh == rh == a.content_hash()
+
+
+# -- self-bisimulation: both sides one abstraction -----------------------------
+
+
+def _literal_adm(s1, s2, eps_tilde):
+    eps_tilde = eps_tilde if eps_tilde else (0.0,) * len(s1.dist_blocks)
+    return [
+        (d1, d2)
+        for d1 in range(len(s1.dists))
+        for d2 in range(len(s2.dists))
+        if all(
+            v <= b + 1e-12
+            for v, b in zip(vector_metric(s1.dists[d1], s2.dists[d2], s1.dist_blocks), eps_tilde)
+        )
+    ]
+
+
+def _literal_violation(s1, s2, pairs, eps, adm, i, j):
+    """First of the clauses 'a', 'b', 'c' that (i, j) fails against pairs, or None."""
+    if max(abs(a - b) for a, b in zip(s1.states[i], s2.states[j])) > eps + 1e-12:
+        return "a"
+    for u1 in range(len(s1.inputs)):
+        if not any(
+            all(
+                all(
+                    any((t1, t2) in pairs for t2 in s2.transitions[(j, u2, d2)][0])
+                    for t1 in s1.transitions[(i, u1, d1)][0]
+                )
+                for d1, d2 in adm
+            )
+            for u2 in range(len(s2.inputs))
+        ):
+            return "b"
+    for u2 in range(len(s2.inputs)):
+        if not any(
+            all(
+                all(
+                    any((t1, t2) in pairs for t1 in s1.transitions[(i, u1, d1)][0])
+                    for t2 in s2.transitions[(j, u2, d2)][0]
+                )
+                for d1, d2 in adm
+            )
+            for u1 in range(len(s1.inputs))
+        ):
+            return "c"
+    return None
+
+
+def _sorted_oracle_check(s1, s2, rel):
+    """The first pair in sorted order that fails a clause, with that clause."""
+    adm = _literal_adm(s1, s2, rel.eps_tilde)
+    for (i, j) in sorted(rel.pairs):
+        clause = _literal_violation(s1, s2, rel.pairs, rel.eps, adm, i, j)
+        if clause is not None:
+            return False, (i, j), clause
+    return True, None, None
+
+
+def _oracle_greatest(s1, s2, eps, eps_tilde):
+    """Greatest fixpoint by brute force: from the eps-close pairs, drop every
+    pair that fails the quantifier game until none does.  Also returns the
+    relation size at the start of each round."""
+    adm = _literal_adm(s1, s2, eps_tilde)
+    pairs = {
+        (i, j)
+        for i in range(len(s1.states))
+        for j in range(len(s2.states))
+        if max(abs(a - b) for a, b in zip(s1.states[i], s2.states[j])) <= eps + 1e-12
+    }
+    sizes = []
+    while True:
+        sizes.append(len(pairs))
+        bad = {p for p in pairs if _literal_violation(s1, s2, pairs, eps, adm, *p) is not None}
+        if not bad:
+            return frozenset(pairs), sizes
+        pairs -= bad
+
+
+def _random_self_instance(rng):
+    """A random finite system with several inputs and disturbances, plus eps and eps_tilde > 0."""
+    n, n_u, n_d = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    states = [(float(np.round(rng.uniform(-1, 1), 3)),) for _ in range(n)]
+    dists = [(float(np.round(rng.uniform(-0.2, 0.2), 3)),) for _ in range(n_d)]
+    trans = {}
+    for key in np.ndindex(n, n_u, n_d):
+        k = int(rng.integers(1, 3))
+        succ = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        trans[tuple(int(v) for v in key)] = (succ, False)
+    s = toy(states, trans, dists=tuple(dists), inputs=tuple((float(u),) for u in range(n_u)))
+    return s, float(rng.uniform(0.3, 2.0)), (float(rng.uniform(0.05, 0.3)),)
+
+
+def test_self_bisimulation_matches_brute_force_fixpoint():
+    rng = np.random.default_rng(2024)
+    kept = removed = 0
+    for _ in range(30):
+        s, eps, et = _random_self_instance(rng)
+        greatest, sizes = _oracle_greatest(s, s, eps, et)
+        assert largest_bisimulation(s, s, eps, et).pairs == greatest
+        assert largest_bisimulation(s, copy.deepcopy(s), eps, et).pairs == greatest
+        kept += len(greatest)
+        removed += sizes[0] - len(greatest)
+    assert kept > 0 and removed > 0  # the instances exercise both outcomes
+
+
+def test_self_check_relation_matches_sorted_oracle():
+    rng = np.random.default_rng(4048)
+    symmetric_invalid = asymmetric = 0
+    for _ in range(30):
+        s, eps, et = _random_self_instance(rng)
+        n = len(s.states)
+        upper = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.7]
+        sym = frozenset(upper) | frozenset((j, i) for (i, j) in upper)
+        asym = frozenset((i, j) for i in range(n) for j in range(n) if rng.random() < 0.6)
+        greatest = largest_bisimulation(s, s, eps, et).pairs
+        for pairs in (sym, asym, greatest):
+            rel = RelationTable(pairs=pairs, eps=eps, eps_tilde=et)
+            oracle = _sorted_oracle_check(s, s, rel)
+            for other in (s, copy.deepcopy(s)):
+                mine = check_relation(s, other, rel)
+                assert (mine.valid, mine.pair, mine.clause) == oracle
+        symmetric_invalid += not _sorted_oracle_check(s, s, RelationTable(sym, eps, et))[0]
+        asymmetric += asym != frozenset((j, i) for (i, j) in asym)
+    assert symmetric_invalid >= 10 and asymmetric >= 10
+
+
+def test_self_bisimulation_makes_one_responds_call_per_pair_per_round(monkeypatch, scalar_model):
+    rng = np.random.default_rng(99)
+    instances = [_random_self_instance(rng) for _ in range(10)]
+    instances.append((gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1), 0.6, (0.0,)))
+    calls = []
+    original = bisimcheck._responds
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])  # the related pair (x_c, x_r)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bisimcheck, "_responds", counted)
+    multi_round = 0
+    for s, eps, et in instances:
+        greatest, sizes = _oracle_greatest(s, s, eps, et)
+        calls.clear()
+        rel = largest_bisimulation(s, s, eps, et)
+        assert rel.pairs == greatest
+        assert len(calls) == sum(sizes)
+        multi_round += len(sizes) > 2
+        # checking the symmetric result evaluates (b) once per pair and reads (c) from it
+        calls.clear()
+        assert check_relation(s, s, rel).valid
+        assert sorted(calls) == sorted(rel.pairs)
+    assert multi_round > 0

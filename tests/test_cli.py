@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import pathlib
 import re
 
 import pytest
@@ -380,3 +381,72 @@ def test_nonpositive_tau_or_eta_is_usage_error(argv, tmp_path, capsys):
         argv = argv + ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+def _with_byte_ff(src, dst):
+    """Copy src to dst with a comment line holding byte 0xff (not UTF-8) after its first line."""
+    data = pathlib.Path(src).read_bytes()
+    cut = data.index(b"\n") + 1
+    dst.write_bytes(data[:cut] + b"# \xff\n" + data[cut:])
+    return str(dst)
+
+
+def _non_utf8_sys(tmp_path):
+    return ["lint", _with_byte_ff(SCALAR, tmp_path / "bad.sys")]
+
+
+def _non_utf8_net(tmp_path):
+    (tmp_path / "node.sys").write_bytes((DATA / "node.sys").read_bytes())
+    return ["params", _with_byte_ff(PAIR, tmp_path / "bad.net")]
+
+
+def _non_utf8_node(tmp_path):
+    _with_byte_ff(DATA / "node.sys", tmp_path / "node.sys")
+    (tmp_path / "pair.net").write_bytes((DATA / "pair.net").read_bytes())
+    return ["params", str(tmp_path / "pair.net")]
+
+
+def _non_utf8_abs(tmp_path):
+    _scalar_abs_body(tmp_path)
+    bad = _with_byte_ff(tmp_path / "abs" / "scalar1.abs", tmp_path / "bad.abs")
+    return ["bisim", bad, bad, "--eps", "0.1"]
+
+
+def _non_utf8_rel(tmp_path):
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    assert main(["bisim", left, left, "--eps", "0.3", "--out", str(tmp_path)]) == 0
+    bad = _with_byte_ff(tmp_path / "relation.rel", tmp_path / "bad.rel")
+    return ["bisim", left, left, "--check", bad]
+
+
+def _non_utf8_report(tmp_path):
+    (tmp_path / "suite.csv").write_bytes(b"check,verdict\nx \xff,PASS\n")
+    return ["report", "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_non_utf8_sys, _non_utf8_net, _non_utf8_node, _non_utf8_abs, _non_utf8_rel, _non_utf8_report],
+    ids=["sys", "net", "net-node-file", "abs", "rel", "report-csv"],
+)
+def test_non_utf8_input_is_usage_error(make_argv, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err and "Traceback" not in err
+
+
+def test_non_numeric_eps_tilde_is_usage_error(tmp_path, capsys):
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    assert main(["bisim", left, left, "--eps", "0.3", "--eps-tilde", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps-tilde expects space-separated reals") and "Traceback" not in err
+
+
+def test_non_numeric_certificate_matrix_is_usage_error(capsys):
+    assert main(["certify", SCALAR, "--kappa", "0.5", "--P", "1 x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --P expects space-separated reals") and "Traceback" not in err
