@@ -106,19 +106,28 @@ def _admissible_dist_pairs(s1, s2, eps_tilde):
     return pairs
 
 
+def _table(a: FiniteAbstraction):
+    """(successor tuple per flat (s, u, d) row, input count, disturbance count)."""
+    rows = a.succ.reshape(a.ood.size, a.succ.shape[-1]).tolist()
+    return [tuple(t for t in row if t >= 0) for row in rows], len(a.inputs), len(a.dists)
+
+
 def _responds(challenger, responder, x_c, x_r, pairs, adm, flip):
     """Challenger side (b)-style check for one related pair.
 
-    flip=False: challenger is S1 (pairs indexed (s, t)); flip=True:
-    challenger is S2 and membership is tested transposed.
+    challenger and responder are _table tuples.  flip=False: challenger
+    is S1 (pairs indexed (s, t)); flip=True: challenger is S2 and
+    membership is tested transposed.
     """
-    for u_c in range(len(challenger.inputs)):
+    rows_c, n_uc, n_dc = challenger
+    rows_r, n_ur, n_dr = responder
+    for u_c in range(n_uc):
         matched = False
-        for u_r in range(len(responder.inputs)):
+        for u_r in range(n_ur):
             ok = True
             for dc, dr in adm:
-                succ_c = challenger.transitions[(x_c, u_c, dc)][0]
-                succ_r = responder.transitions[(x_r, u_r, dr)][0]
+                succ_c = rows_c[(x_c * n_uc + u_c) * n_dc + dc]
+                succ_r = rows_r[(x_r * n_ur + u_r) * n_dr + dr]
                 for s in succ_c:
                     if not any(
                         ((s, t) if not flip else (t, s)) in pairs for t in succ_r
@@ -145,12 +154,13 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
         raise FormatError(f"relation pair {min(outside)} is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
+    t1, t2 = _table(s1), _table(s2)
 
     def clause_b(i, j):
-        return _responds(s1, s2, i, j, rel.pairs, adm, flip=False)
+        return _responds(t1, t2, i, j, rel.pairs, adm, flip=False)
 
     def clause_c(i, j):
-        return _responds(s2, s1, j, i, rel.pairs, adm_flip, flip=True)
+        return _responds(t2, t1, j, i, rel.pairs, adm_flip, flip=True)
 
     if s1 == s2 and all((j, i) in rel.pairs for (i, j) in rel.pairs):
         clause_b = functools.cache(clause_b)
@@ -187,6 +197,7 @@ def largest_bisimulation(
     if s1 == s2:
         return _largest_self_bisimulation(s1, eps, eps_tilde, adm)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
+    t1, t2 = _table(s1), _table(s2)
     current = {
         (i, j)
         for i in range(len(s1.states))
@@ -197,8 +208,8 @@ def largest_bisimulation(
         bad = [
             pair
             for pair in current
-            if not _responds(s1, s2, pair[0], pair[1], current, adm, flip=False)
-            or not _responds(s2, s1, pair[1], pair[0], current, adm_flip, flip=True)
+            if not _responds(t1, t2, pair[0], pair[1], current, adm, flip=False)
+            or not _responds(t2, t1, pair[1], pair[0], current, adm_flip, flip=True)
         ]
         if not bad:
             break
@@ -214,7 +225,7 @@ def _largest_self_bisimulation(s, eps, eps_tilde, adm) -> RelationTable:
     its mirror}, which is symmetric again.  So each round evaluates (b)
     once per ordered pair and removes the failing pairs with their mirrors.
     """
-    n = len(s.states)
+    n, t = len(s.states), _table(s)
     current = set()
     for i in range(n):
         for j in range(i, n):
@@ -223,7 +234,7 @@ def _largest_self_bisimulation(s, eps, eps_tilde, adm) -> RelationTable:
                 current.add((j, i))
     while True:
         bad = [
-            (i, j) for (i, j) in current if not _responds(s, s, i, j, current, adm, flip=False)
+            (i, j) for (i, j) in current if not _responds(t, t, i, j, current, adm, flip=False)
         ]
         if not bad:
             break

@@ -276,7 +276,8 @@ def cmd_compose(args):
 
 def cmd_bisim(args):
     s1 = gridabs.read_abstraction(args.left)
-    s2 = gridabs.read_abstraction(args.right)
+    same = Path(args.left).resolve() == Path(args.right).resolve()
+    s2 = s1 if same else gridabs.read_abstraction(args.right)
     if args.check:
         rel, lh, rh = bisimcheck.load_relation(args.check)
         if lh != s1.content_hash() or rh != s2.content_hash():

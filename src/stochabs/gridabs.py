@@ -22,8 +22,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -312,16 +314,40 @@ def flow_nominal(
     )
 
 
+class _TableView(Mapping):
+    """Read-only (state, input, disturbance) -> (successor tuple,
+    out-of-domain flag) view of a table, iterated in row-major order."""
+
+    def __init__(self, succ, ood):
+        self.succ, self.ood = succ, ood
+
+    def __getitem__(self, key):
+        try:
+            np.ravel_multi_index(key, self.ood.shape)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        row = self.succ[tuple(key)]
+        return tuple(row[row >= 0].tolist()), bool(self.ood[tuple(key)])
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.ood.shape))
+
+    def __len__(self):
+        return self.ood.size
+
+
 @dataclass
 class FiniteAbstraction:
     """Countable deterministic transition system over lattice points.
 
-    transitions maps (state, input, disturbance) index triples to a pair
-    (successor index tuple sorted ascending, out-of-domain flag).  The
-    disturbance vectors split into blocks (dist_blocks gives the sizes,
-    dist_block_nodes the supplying node name or '' when free); the
-    vector metric between two disturbance values is the per-block
-    infinity norm.
+    The transition table is two arrays over (state, input, disturbance)
+    index triples: succ (S, U, D, k) holds each row's successor indices in
+    ascending order, padded with -1 to k, the widest row; ood (S, U, D)
+    is the out-of-domain flag.  transitions is a read-only mapping view
+    (s, u, d) -> (successor tuple, flag) over them.  The disturbance
+    vectors split into blocks (dist_blocks gives the sizes,
+    dist_block_nodes the supplying node name or '' when free); the vector
+    metric between two disturbance values is the per-block infinity norm.
     """
 
     system: str
@@ -338,13 +364,28 @@ class FiniteAbstraction:
     node_names: tuple
     node_dims: tuple
     external_names: tuple
-    transitions: dict
+    succ: np.ndarray
+    ood: np.ndarray
+
+    def __eq__(self, other):
+        """Field-wise equality; the table arrays, the last two fields, by value."""
+        if not isinstance(other, FiniteAbstraction):
+            return NotImplemented
+        names = [f.name for f in fields(self)]
+        return all(getattr(self, n) == getattr(other, n) for n in names[:-2]) and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in names[-2:]
+        )
 
     @property
     def dim(self):
         return sum(self.node_dims)
 
-    def serialize(self) -> str:
+    @property
+    def transitions(self) -> Mapping:
+        return _TableView(self.succ, self.ood)
+
+    def _header(self) -> list:
+        """Every line of the text form up to the transitions count."""
         lines = [FORMAT_HEADER, f"system {self.system}"]
         if len(self.node_names) > 1:
             parts = [f"{n}:{d}" for n, d in zip(self.node_names, self.node_dims)]
@@ -371,11 +412,19 @@ class FiniteAbstraction:
             lines.append(f"{label} {len(items)}")
             for i, coords in enumerate(items):
                 lines.append(f"{i}" + "".join(" " + _g17(c) for c in coords))
-        lines.append(f"transitions {len(self.transitions)}")
-        for (si, ui, di) in sorted(self.transitions):
-            succ, ood = self.transitions[(si, ui, di)]
-            mark = " *" if ood else ""
-            lines.append(f"{si} {ui} {di} ->{mark}" + "".join(f" {s}" for s in succ))
+        lines.append(f"transitions {self.ood.size}")
+        return lines
+
+    def serialize(self) -> str:
+        n_s, n_u, n_d, k = self.succ.shape
+        tails = [f" {u} {d} ->" for u, d in itertools.product(range(n_u), range(n_d))]
+        heads = [f"{s}{t}" for s in range(n_s) for t in tails]
+        num = [f" {t}" for t in range(self.succ.max(initial=-1) + 1)]
+        rows = self.succ.reshape(self.ood.size, k).tolist()
+        lines = self._header() + [
+            head + (" *" if ood else "") + "".join([num[t] for t in row if t >= 0])
+            for head, row, ood in zip(heads, rows, self.ood.ravel().tolist())
+        ]
         body = "\n".join(lines) + "\n"
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         return body + f"hash {digest}\n"
@@ -389,141 +438,124 @@ class FiniteAbstraction:
 
 
 def deserialize(text: str) -> FiniteAbstraction:
-    """Parse the serialized form back; verifies version and content hash."""
+    """Parse the serialized form back; verifies version and content hash.
+
+    Only the exact text serialize writes is accepted, so a file that
+    parses re-serializes to itself.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise FormatError(f"bad header (expected {FORMAT_HEADER!r})")
-    if not lines[-1].startswith("hash "):
-        raise FormatError("missing hash footer")
     body = "\n".join(lines[:-1]) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    stated = lines[-1].split()[1]
-    if digest != stated:
-        raise FormatError("content hash mismatch (file corrupted?)")
+    if lines[-1] != f"hash {digest}":
+        raise FormatError("missing or mismatched content hash (file corrupted?)")
+    if text != body + lines[-1] + "\n":
+        raise FormatError("lines do not each end in a single newline")
     try:
         return _parse_body(lines)
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed abstraction file: {exc}") from None
 
 
+_INT = r"(?:0|-?[1-9]\d{0,17})"
+#: One transition line; integers in canonical form.
+_ROW = re.compile(rf"{_INT} {_INT} {_INT} ->(?: \*)?(?: {_INT})*")
+#: Line end marker of the parsed number stream; _INT never matches it.
+_END = -(10**18)
+
+
 def _parse_body(lines) -> FiniteAbstraction:
-    pos = 1
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("truncated file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    line = take()
-    if not line.startswith("system "):
-        raise FormatError("missing system line")
-    system = line.split(None, 1)[1]
+    """Parse the header and the table; the header must then be exactly
+    the lines _header renders for the parsed values."""
+    system, pos = lines[1].split(" ", 1)[1], 2
     node_names, node_dims, external = (system,), None, ()
     if lines[pos].startswith("composed "):
-        toks = take().split()[1:]
+        toks = lines[pos].split()[1:]
         cut = toks.index("external")
-        pairs = [t.rsplit(":", 1) for t in toks[:cut]]
-        node_names = tuple(p[0] for p in pairs)
-        node_dims = tuple(int(p[1]) for p in pairs)
-        external = tuple(toks[cut + 1 :])
-    toks = take().split()
-    if not toks or toks[0] != "tau":
-        raise FormatError("missing tau line")
-    i_eta = toks.index("eta")
-    i_om = toks.index("omega")
-    i_eps = toks.index("eps")
-    tau = float(toks[1])
-    eta = tuple(float(v) for v in toks[i_eta + 1 : i_om])
+        node_names, node_dims = zip(*(t.rsplit(":", 1) for t in toks[:cut]))
+        external, pos = tuple(toks[cut + 1 :]), pos + 1
+    toks = lines[pos].split()
+    i_eta, i_om, i_eps = toks.index("eta"), toks.index("omega"), toks.index("eps")
     omega_toks = toks[i_om + 1 : i_eps]
-    omega = () if omega_toks == ["-"] else tuple(float(v) for v in omega_toks)
-    eps = float(toks[i_eps + 1])
-    toks = take().split()
-    if toks[0] != "epstilde":
-        raise FormatError("missing epstilde line")
-    eps_tilde = tuple(float(v) for v in toks[1:])
-    toks = take().split()
-    if toks[0] != "dblocks":
-        raise FormatError("missing dblocks line")
-    dist_blocks, dist_block_nodes = [], []
-    for t in toks[1:]:
-        size, node = t.rsplit(":", 1)
-        dist_blocks.append(int(size))
-        dist_block_nodes.append("" if node == "-" else node)
-
-    def section(label, width):
-        toks = take().split()
-        if len(toks) != 2 or toks[0] != label:
-            raise FormatError(f"missing {label} section")
-        items = []
-        for i in range(int(toks[1])):
-            parts = take().split()
-            if int(parts[0]) != i:
-                raise FormatError(f"{label} indices out of order")
-            if len(parts) - 1 != width:
-                raise ValueError(f"{label[:-1]} {i} has {len(parts) - 1} coordinates, expected {width}")
-            items.append(tuple(float(v) for v in parts[1:]))
-        return tuple(items)
-
-    states = section("states", len(eta))
-    inputs = section("inputs", len(omega))
-    dists = section("dists", sum(dist_blocks))
-    if node_dims is None:
-        node_dims = (len(eta),)
-    toks = take().split()
-    if len(toks) != 2 or toks[0] != "transitions":
-        raise FormatError("missing transitions section")
-    transitions = {}
-    count = int(toks[1])
-    for _ in range(count):
-        parts = take().split()
-        if len(parts) < 4 or parts[3] != "->":
-            raise FormatError(f"bad transition line: {' '.join(parts)}")
-        si, ui, di = int(parts[0]), int(parts[1]), int(parts[2])
-        rest = parts[4:]
-        ood = bool(rest) and rest[0] == "*"
-        if ood:
-            rest = rest[1:]
-        transitions[(si, ui, di)] = (tuple(int(v) for v in rest), ood)
-    _check_table(transitions, count, len(states), len(inputs), len(dists))
-    return FiniteAbstraction(
+    eta = tuple(map(float, toks[i_eta + 1 : i_om]))
+    omega = tuple(map(float, [] if omega_toks == ["-"] else omega_toks))
+    eps_tilde = tuple(map(float, lines[pos + 1].split()[1:]))
+    blocks = [t.rsplit(":", 1) for t in lines[pos + 2].split()[1:]]
+    sections, pos = [], pos + 3
+    widths = (len(eta), len(omega), sum(int(b) for b, _ in blocks))
+    for label, width in zip(("state", "input", "dist"), widths):
+        count = int(lines[pos].split()[1])
+        items = tuple(tuple(map(float, ln.split()[1:])) for ln in lines[pos + 1 : pos + 1 + count])
+        for i, coords in enumerate(items):
+            if len(coords) != width:
+                raise ValueError(f"{label} {i} has {len(coords)} coordinates, expected {width}")
+        sections.append(items)
+        pos += count + 1
+    succ, ood = _parse_table(lines[pos + 1 : -1], tuple(map(len, sections)))
+    a = FiniteAbstraction(
         system=system,
-        tau=tau,
+        tau=float(toks[1]),
         eta=eta,
         omega=omega,
-        eps=eps,
+        eps=float(toks[i_eps + 1]),
         eps_tilde=eps_tilde,
-        states=states,
-        inputs=inputs,
-        dists=dists,
-        dist_blocks=tuple(dist_blocks),
-        dist_block_nodes=tuple(dist_block_nodes),
-        node_names=node_names,
-        node_dims=node_dims,
+        states=sections[0],
+        inputs=sections[1],
+        dists=sections[2],
+        dist_blocks=tuple(int(b) for b, _ in blocks),
+        dist_block_nodes=tuple("" if n == "-" else n for _, n in blocks),
+        node_names=tuple(node_names),
+        node_dims=tuple(map(int, node_dims)) if node_dims else (len(eta),),
         external_names=external,
-        transitions=transitions,
+        succ=succ,
+        ood=ood,
     )
+    for i, (got, want) in enumerate(itertools.zip_longest(lines[: pos + 1], a._header())):
+        if got != want:
+            raise ValueError(f"line {i + 1} reads {got!r}, expected {want!r}")
+    return a
 
 
-def _check_table(transitions, count, n_s, n_u, n_d):
-    """Require one line per (state, input, disturbance) triple and in-range indices."""
-    if len(transitions) != count:
-        raise FormatError(f"duplicate transitions: {count} lines for {len(transitions)} triples")
-    columns = list(zip(*transitions)) or [()] * 3
-    succ = [s for targets, _ in transitions.values() for s in targets]
+def _parse_table(rows, shape):
+    """(succ, ood) arrays of transition lines; requires one line per
+    (state, input, disturbance) triple in row-major order, in-range
+    indices and ascending successors."""
+    bad = next((r for r in rows if not _ROW.fullmatch(r)), None)
+    if bad is not None:
+        raise FormatError(f"bad transition line: {bad}")
+    text = "\n".join([*rows, ""])
+    # one number stream: "s u d flag successors... END" per line
+    numbers = text.replace(" -> *", " 1").replace(" ->", " 0").replace("\n", f" {_END} ")
+    flat = np.fromstring(numbers, np.int64, sep=" ")
+    ends = np.flatnonzero(flat == _END)
+    starts = ends - np.diff(ends, prepend=-1) + 1
+    width = ends - starts - 4
+    keys, ood = flat[starts[:, None] + np.arange(3)], flat[starts + 3] == 1
+    filled = np.arange(width.max(initial=0)) < width[:, None]
+    at = np.where(filled, starts[:, None] + 4 + np.arange(filled.shape[1]), 0)
+    succ = np.where(filled, flat[at], -1)
+    complete = len(rows) == math.prod(shape)
+    in_order = complete and np.array_equal(keys, np.indices(shape).reshape(3, len(rows)).T)
+    distinct = len(rows) if in_order else len(np.unique(keys, axis=0))
+    if distinct != len(rows):
+        raise FormatError(f"duplicate transitions: {len(rows)} lines for {distinct} triples")
     for name, values, size in zip(
-        ("state", "input", "disturbance", "successor"), columns + [succ], (n_s, n_u, n_d, n_s)
+        ("state", "input", "disturbance", "successor"), (*keys.T, succ[filled]), (*shape, shape[0])
     ):
-        if values and (min(values) < 0 or max(values) >= size):
-            bad = min(values) if min(values) < 0 else max(values)
+        if values.size and (values.min() < 0 or values.max() >= size):
+            bad = values.min() if values.min() < 0 else values.max()
             raise FormatError(f"{name} index {bad} is outside 0..{size - 1}")
-    if count != n_s * n_u * n_d:
+    if not complete:
         raise FormatError(
-            f"incomplete transition table: {count} of {n_s * n_u * n_d} "
+            f"incomplete transition table: {len(rows)} of {math.prod(shape)} "
             "(state, input, disturbance) triples"
         )
+    if not in_order:
+        raise FormatError("transitions are not in (state, input, disturbance) order")
+    if ((succ[:, 1:] <= succ[:, :-1]) & filled[:, 1:]).any():
+        raise FormatError("successors are not strictly ascending")
+    return succ.reshape(*shape, succ.shape[1]), ood.reshape(shape)
 
 
 def read_abstraction(path) -> FiniteAbstraction:
@@ -541,7 +573,8 @@ def _init_worker(payload):
 
 
 def _transition_rows(grid: Lattice, box, endpoint, escaped):
-    """(successors, out-of-domain flag) for each column of endpoint.
+    """Padded successor rows (cells, k) and out-of-domain flags (cells,)
+    for the columns of endpoint.
 
     The successors of an endpoint are the lattice points within one pitch
     of it on every axis (up to GEOM_SLACK), in ascending index order.
@@ -565,17 +598,20 @@ def _transition_rows(grid: Lattice, box, endpoint, escaped):
         j = np.array(pattern)[:, None]
         succ.append(base + (j * stride).sum(axis=0))
         valid.append((j <= span).all(axis=0))
-    succ, valid = np.stack(succ, axis=1), np.stack(valid, axis=1)
     ood = (
         escaped
         | (endpoint < box[:, :1] - GEOM_SLACK).any(axis=0)
         | (endpoint > box[:, 1:] + GEOM_SLACK).any(axis=0)
     )
-    flat = succ[valid].tolist()
-    rows, at = [], 0
-    for stop, flag in zip(np.cumsum(valid.sum(axis=1)).tolist(), ood.tolist()):
-        rows.append((tuple(flat[at:stop]), flag))
-        at = stop
+    return _pack(np.stack(succ, axis=1), np.stack(valid, axis=1)), ood
+
+
+def _pack(succ, valid):
+    """Rows of the valid entries of succ, ascending and padded with -1 to
+    the widest row."""
+    big = np.iinfo(np.int64).max
+    rows = np.sort(np.where(valid, succ, big), axis=1)[:, : valid.sum(axis=1).max(initial=0)]
+    rows[rows == big] = -1
     return rows
 
 
@@ -679,19 +715,17 @@ def build_abstraction(
         tol,
     )
     box = sys.domain_array()
-    keys = itertools.product(range(len(states)), range(len(inputs)), range(len(dists)))
     bounds = [(a, min(a + FLOW_CHUNK, cells)) for a in range(0, cells, FLOW_CHUNK)]
-
-    def rows(flows):
-        for endpoint, escaped in flows:
-            yield from _transition_rows(grid, box, endpoint, escaped)
-
     procs = min(workers, len(bounds))
     if procs <= 1:
-        transitions = dict(zip(keys, rows(_flow_chunk(payload, b) for b in bounds)))
+        flows = [_flow_chunk(payload, b) for b in bounds]
     else:
         with Pool(procs, initializer=_init_worker, initargs=(payload,)) as pool:
-            transitions = dict(zip(keys, rows(pool.imap(_flow_chunk_worker, bounds))))
+            flows = pool.map(_flow_chunk_worker, bounds)
+    endpoint = np.concatenate([np.empty((sys.n, 0)), *(e for e, _ in flows)], axis=1)
+    escaped = np.concatenate([np.empty(0, bool), *(f for _, f in flows)])
+    succ, ood = _transition_rows(grid, box, endpoint, escaped)
+    shape = (len(states), len(inputs), len(dists))
 
     return FiniteAbstraction(
         system=sys.name,
@@ -708,5 +742,6 @@ def build_abstraction(
         node_names=(sys.name,),
         node_dims=(sys.n,),
         external_names=(),
-        transitions=transitions,
+        succ=succ.reshape(*shape, succ.shape[1]),
+        ood=ood.reshape(shape),
     )

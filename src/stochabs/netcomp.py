@@ -5,6 +5,9 @@ Each node's disturbance is the stacked state of its in-neighbours, so a
 node's abstract disturbance alphabet is the product of the neighbours'
 state lattices, and composing abstractions wires every node's coupling
 blocks to the current product state while external blocks stay free.
+Composition works on the parts' padded successor arrays: it gathers each
+part's rows by broadcasting and encodes every combination of part
+successors as the sum of part successor times part stride.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .certify import (
     verify_certificate,
 )
 from .errors import AbstractionError, ModelError
-from .gridabs import FiniteAbstraction, Lattice, snap_input_pitch, snap_state_pitch
+from .gridabs import FiniteAbstraction, Lattice, _pack, snap_input_pitch, snap_state_pitch
 from .sysdsl import NetworkSpec
 
 
@@ -264,31 +267,14 @@ def composed_relation_params(spec: NetworkSpec, subset, eps=None):
     return composed_eps, tuple(eps[j] for j in externals)
 
 
-def _part_offsets(part: FiniteAbstraction):
-    offsets = {}
-    pos = 0
-    for name, dim in zip(part.node_names, part.node_dims):
-        offsets[name] = (pos, dim)
-        pos += dim
-    return offsets
-
-
-def _block_values_in_order(part: FiniteAbstraction, offset, size):
-    """Ordered distinct values of one disturbance block (the block's lattice)."""
-    seen = {}
-    for sym in part.dists:
-        val = sym[offset : offset + size]
-        if val not in seen:
-            seen[val] = None
-    return list(seen)
-
-
 def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
     """Compose disjoint abstraction parts over the network.
 
     Parts may be single-node abstractions or earlier compositions; the
     result is canonical (parts ordered by their smallest node index), so
-    composing {a, b} then c equals composing {a, b, c} directly.
+    composing {a, b} then c equals composing {a, b, c} directly.  A product
+    row holds every combination of one successor per part, ascending, and
+    is out of domain when any part row is.
     """
     parts = list(parts)
     if not parts:
@@ -312,104 +298,69 @@ def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
     externals = neighbors_of_set(spec, subset)
     part_of_node = {}
     for pi, part in enumerate(parts):
-        offs = _part_offsets(part)
-        for n in part.node_names:
-            part_of_node[n] = (pi, *offs[n])
+        offsets = np.cumsum([0, *part.node_dims]).tolist()
+        for n, off, d in zip(part.node_names, offsets, part.node_dims):
+            part_of_node[n] = (pi, off, d)
 
-    # Free (external) disturbance lattices, recovered from whichever part
-    # couples to that node.
-    ext_grid = {}
+    # Free (external) disturbance lattices: the ordered distinct values of
+    # the first block, over the parts in order, that couples to each node.
+    block_grid = {}
+    for part in parts:
+        offsets = np.cumsum([0, *part.dist_blocks]).tolist()
+        for node, off, size in zip(part.dist_block_nodes, offsets, part.dist_blocks):
+            block_grid.setdefault(node, list(dict.fromkeys(sym[off : off + size] for sym in part.dists)))
     for j in externals:
-        jname = spec.node_names[j]
-        for part in parts:
-            pos = 0
-            for size, node in zip(part.dist_blocks, part.dist_block_nodes):
-                if node == jname:
-                    ext_grid[j] = _block_values_in_order(part, pos, size)
-                    break
-                pos += size
-            if j in ext_grid:
-                break
-        if j not in ext_grid:
-            raise ModelError(f"no part is coupled to external node {jname!r}")
-
+        if spec.node_names[j] not in block_grid:
+            raise ModelError(f"no part is coupled to external node {spec.node_names[j]!r}")
+    ext_grid = [block_grid[spec.node_names[j]] for j in externals]
     ext_dims = [spec.nodes[j].n for j in externals]
-    if externals:
-        ext_symbols = [
-            tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*[ext_grid[j] for j in externals])
-        ]
-    else:
-        ext_symbols = [()]
+    flatten = itertools.chain.from_iterable
+    ext_symbols = [tuple(flatten(c)) for c in itertools.product(*ext_grid)]
 
-    dist_index = [{sym: k for k, sym in enumerate(part.dists)} for part in parts]
-    state_lists = [part.states for part in parts]
-    input_lists = [part.inputs for part in parts]
+    states = [tuple(flatten(c)) for c in itertools.product(*(p.states for p in parts))]
+    inputs = [tuple(flatten(c)) for c in itertools.product(*(p.inputs for p in parts))]
+    n_s, n_u, n_e = len(states), len(inputs), len(ext_symbols)
+    s_of = np.unravel_index(np.arange(n_s), [len(p.states) for p in parts])
+    u_of = np.unravel_index(np.arange(n_u), [len(p.inputs) for p in parts])
+    coords = [np.array(p.states, float).reshape(len(p.states), p.dim) for p in parts]
+    ext = np.array(ext_symbols, float).reshape(n_e, sum(ext_dims))
+    ext_offset = dict(zip(externals, zip(np.cumsum([0, *ext_dims]).tolist(), ext_dims)))
 
-    states = [
-        tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*state_lists)
-    ]
-    inputs = [
-        tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*input_lists)
-    ]
-
-    state_counts = [len(s) for s in state_lists]
-    input_counts = [len(s) for s in input_lists]
-
-    def decode(idx, counts):
-        out = []
-        for c in reversed(counts):
-            out.append(idx % c)
-            idx //= c
-        return list(reversed(out))
-
-    def encode(indices, counts):
-        idx = 0
-        for k, c in zip(indices, counts):
-            idx = idx * c + k
-        return idx
-
-    ext_offset = {}
-    pos = 0
-    for j, d in zip(externals, ext_dims):
-        ext_offset[j] = (pos, d)
-        pos += d
-
-    def part_dist_symbol(pi, part, part_states, ext_sym):
-        pieces = []
-        for size, node in zip(part.dist_blocks, part.dist_block_nodes):
+    # Each part's disturbance symbol and its index, once per (product
+    # state, external symbol): the states of the coupled nodes, or the
+    # external symbol's block.
+    dist_of = []
+    for pi, part in enumerate(parts):
+        pieces = [np.empty((n_s, n_e, 0))]
+        for node in part.dist_block_nodes:
             if node in part_of_node:
                 qi, off, dim = part_of_node[node]
-                pieces.append(state_lists[qi][part_states[qi]][off : off + dim])
+                pieces.append(coords[qi][s_of[qi], None, off : off + dim])
             elif node and name_to_idx.get(node) in ext_offset:
                 off, dim = ext_offset[name_to_idx[node]]
-                pieces.append(ext_sym[off : off + dim])
+                pieces.append(ext[None, :, off : off + dim])
             else:
                 raise ModelError(f"part {pi} has an unwireable disturbance block for {node!r}")
-        return tuple(itertools.chain.from_iterable(pieces))
+        w = np.concatenate([np.broadcast_to(q, (n_s, n_e, q.shape[-1])) for q in pieces], axis=-1)
+        index = {sym: k for k, sym in enumerate(part.dists)}
+        symbols = [tuple(v) for v in w.reshape(n_s * n_e, w.shape[-1]).tolist()]
+        missing = [sym for sym in symbols if sym not in index]
+        if missing:
+            raise ModelError(f"wiring mismatch: part {pi} has no disturbance symbol {missing[0]}")
+        dist_of.append(np.array([index[sym] for sym in symbols], int))
+    dist_of = np.stack(dist_of, axis=-1).reshape(n_s, n_e, len(parts))
 
-    transitions = {}
-    for s_idx in range(len(states)):
-        s_parts = decode(s_idx, state_counts)
-        for u_idx in range(len(inputs)):
-            u_parts = decode(u_idx, input_counts)
-            for e_idx, ext_sym in enumerate(ext_symbols):
-                succ_sets = []
-                ood = False
-                for pi, part in enumerate(parts):
-                    wsym = part_dist_symbol(pi, part, s_parts, ext_sym)
-                    di = dist_index[pi].get(wsym)
-                    if di is None:
-                        raise ModelError(
-                            f"wiring mismatch: part {pi} has no disturbance symbol {wsym}"
-                        )
-                    succ, part_ood = part.transitions[(s_parts[pi], u_parts[pi], di)]
-                    succ_sets.append(succ)
-                    ood = ood or part_ood
-                combos = tuple(
-                    sorted(encode(list(c), state_counts) for c in itertools.product(*succ_sets))
-                )
-                transitions[(s_idx, u_idx, e_idx)] = (combos, ood)
+    # Product rows: every combination of one successor per part, encoded as
+    # the sum of part successor times part stride; a combination that takes
+    # a -1 pad is invalid.  Each part's row broadcasts along its own axis.
+    succ, valid, ood = 0, True, False
+    for pi, part in enumerate(parts):
+        stride = math.prod(len(q.states) for q in parts[pi + 1 :])
+        at = (s_of[pi][:, None, None], u_of[pi][None, :, None], dist_of[:, None, :, pi])
+        rows = np.expand_dims(part.succ[at], tuple(3 + q for q in range(len(parts)) if q != pi))
+        succ, valid = succ + rows * stride, valid & (rows >= 0)
+        ood = ood | part.ood[at]
+    succ = _pack(succ.reshape(n_s * n_u * n_e, -1), valid.reshape(n_s * n_u * n_e, -1))
 
     composed_eps, composed_et = composed_relation_params(spec, subset, spec.eps)
     return FiniteAbstraction(
@@ -427,5 +378,6 @@ def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
         node_names=tuple(n for p in parts for n in p.node_names),
         node_dims=tuple(d for p in parts for d in p.node_dims),
         external_names=tuple(spec.node_names[j] for j in externals),
-        transitions=transitions,
+        succ=succ.reshape(n_s, n_u, n_e, succ.shape[1]),
+        ood=ood,
     )

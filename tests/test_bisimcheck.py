@@ -14,6 +14,7 @@ from stochabs.bisimcheck import (
 )
 from stochabs.errors import ModelError
 from stochabs.gridabs import FiniteAbstraction
+from tests.conftest import table
 
 
 def toy(states, transitions, dists=((0.0,),), inputs=((0.0,),), eta=(0.25,)):
@@ -23,7 +24,7 @@ def toy(states, transitions, dists=((0.0,),), inputs=((0.0,),), eta=(0.25,)):
         states=tuple(states), inputs=tuple(inputs), dists=tuple(dists),
         dist_blocks=(1,) * len(dists[0]), dist_block_nodes=("",) * len(dists[0]),
         node_names=("toy",), node_dims=(len(states[0]),), external_names=(),
-        transitions=transitions,
+        **table(transitions, (len(states), len(inputs), len(dists))),
     )
 
 

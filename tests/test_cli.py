@@ -320,6 +320,22 @@ def test_bisim_rejects_bad_transition_table(edit, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_bisim_reads_one_file_once_for_both_sides(tmp_path, monkeypatch):
+    _scalar_abs_body(tmp_path)
+    left = tmp_path / "abs" / "scalar1.abs"
+    reads = []
+
+    def read(path):
+        reads.append(path)
+        return gridabs.deserialize(pathlib.Path(path).read_text())
+
+    monkeypatch.setattr(gridabs, "read_abstraction", read)
+    assert main(["bisim", str(left), str(left), "--eps", "0.3"]) == 0
+    same = tmp_path / "abs" / ".." / "abs" / "scalar1.abs"
+    assert main(["bisim", str(left), str(same), "--eps", "0.3"]) == 0
+    assert len(reads) == 2
+
+
 def test_bisim_check_rejects_relation_pair_out_of_range(tmp_path, capsys):
     _scalar_abs_body(tmp_path)
     left = str(tmp_path / "abs" / "scalar1.abs")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -19,7 +20,7 @@ from stochabs.gridabs import (
     snap_state_pitch,
 )
 from stochabs.sysdsl import SysModel
-from tests.conftest import DATA
+from tests.conftest import DATA, table
 
 
 def test_quantize_examples():
@@ -215,10 +216,36 @@ def test_empty_abstraction_roundtrip():
     empty = FiniteAbstraction(
         system="none", tau=0.5, eta=(0.25,), omega=(), eps=0.0, eps_tilde=(),
         states=(), inputs=(), dists=(), dist_blocks=(), dist_block_nodes=(),
-        node_names=("none",), node_dims=(1,), external_names=(), transitions={},
+        node_names=("none",), node_dims=(1,), external_names=(), **table({}, (0, 0, 0)),
     )
     text = empty.serialize()
     assert deserialize(text) == empty
+
+
+def test_abstraction_equality(scalar_model):
+    a = build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    b = copy.deepcopy(a)
+    assert a == b and a.succ is not b.succ
+    b.succ[2, 0, 0, 0] += 1
+    assert a != b
+    c = copy.deepcopy(a)
+    c.ood[4, 0, 0] = not c.ood[4, 0, 0]
+    assert a != c
+    assert a != dataclasses.replace(a, system="other")
+    assert a != "scalar1"
+
+
+def test_transitions_view(scalar_model):
+    a = build_abstraction(scalar_model, 0.5, 0.25, 0.1, dists=((-1.0,), (0.0,), (1.0,)))
+    view = a.transitions
+    assert len(view) == 15
+    assert list(view) == list(itertools.product(range(5), range(1), range(3)))
+    assert view[(2, 0, 1)] == ((2,), False)
+    for key in [(5, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 3), (0, 0), (0.5, 0, 0)]:
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
+    assert dataclasses.replace(a, **table(dict(view.items()), a.ood.shape)) == a
 
 
 def test_worker_determinism(scalar_model, monkeypatch):

@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from stochabs import certify, gridabs, netcomp, sysdsl
 from stochabs.bisimcheck import vector_metric
 from stochabs.errors import ModelError
-from tests.conftest import DATA
+from tests.conftest import DATA, table
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +160,63 @@ def test_compose_matches_bruteforce_oracle(pair_net):
                     got, ood = comp.transitions[(s_idx, u_idx, 0)]
                     assert got == expect
                     assert ood == (ood_a or ood_b)
+
+
+def _random_table(part, rng):
+    """part with a random table: rows of 0 to 3 successors, some out of domain."""
+    n = len(part.states)
+    rows = {}
+    for key in np.ndindex(part.ood.shape):
+        succ = rng.choice(n, int(rng.integers(0, min(3, n) + 1)), replace=False)
+        rows[key] = (tuple(sorted(succ.tolist())), bool(rng.random() < 0.2))
+    return dataclasses.replace(part, **table(rows, part.ood.shape))
+
+
+def _wiring_oracle(parts, comp):
+    """Literal loops over the composition of single-node parts covering the
+    network: each part's disturbance is the stacked current states of the
+    nodes named by its blocks, and the product successors are every
+    combination of part successors, encoded row-major and sorted."""
+    names = [p.node_names[0] for p in parts]
+    sizes = [len(p.states) for p in parts]
+    dist_index = [{sym: k for k, sym in enumerate(p.dists)} for p in parts]
+    for s_idx, s_parts in enumerate(itertools.product(*map(range, sizes))):
+        for u_idx, u_parts in enumerate(itertools.product(*(range(len(p.inputs)) for p in parts))):
+            succ_sets, ood = [], False
+            for pi, part in enumerate(parts):
+                wsym = ()
+                for node in part.dist_block_nodes:
+                    q = names.index(node)
+                    wsym += parts[q].states[s_parts[q]]
+                succ, flag = part.transitions[(s_parts[pi], u_parts[pi], dist_index[pi][wsym])]
+                succ_sets.append(succ)
+                ood = ood or flag
+            expect = sorted(
+                sum(c * math.prod(sizes[i + 1 :]) for i, c in enumerate(combo))
+                for combo in itertools.product(*succ_sets)
+            )
+            assert comp.transitions[(s_idx, u_idx, 0)] == (tuple(expect), ood)
+
+
+@pytest.mark.parametrize("net", ["pair.net", "tri.net"])
+def test_compose_multi_successor_rows_match_wiring_oracle(net):
+    spec = sysdsl.load(DATA / net)
+    res = netcomp.synthesize_params(spec)
+    omegas = {i: nd.omega for i, nd in enumerate(res.nodes)}
+    rng = np.random.default_rng(31)
+    parts = [
+        _random_table(netcomp.build_node_abstraction(spec, i, res.etas(), omegas), rng)
+        for i in range(len(spec.nodes))
+    ]
+    part_widths = {len(succ) for p in parts for succ, _ in p.transitions.values()}
+    assert {0, 1, 2} <= part_widths and any(p.ood.any() for p in parts)
+    comp = netcomp.compose_abstractions(spec, parts)
+    widths = {len(succ) for succ, _ in comp.transitions.values()}
+    assert 0 in widths and max(widths) >= 2
+    assert comp.ood.any() and not comp.ood.all()
+    _wiring_oracle(parts, comp)
+    # the padding is compacted: the widest row fills the table exactly
+    assert comp.succ.shape[-1] == max(widths)
 
 
 def test_compose_subset_keeps_external_disturbance(pair_net):
