@@ -521,6 +521,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except StochabsError as exc:
         print(f"error: {exc}", file=_sys.stderr)

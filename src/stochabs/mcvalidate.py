@@ -1,18 +1,29 @@
 """Seeded Euler-Maruyama simulation and Monte-Carlo validation of the
 moment bounds.
 
-Each path draws its Gaussian increments from a stream derived from
-(master seed, path index), so any single path can be reproduced in
-isolation bit-exactly and results do not depend on how paths are grouped
-into chunks.  One step-major kernel, simulate_groups, runs every
-ensemble.  It steps groups of configurations that share each path's
-noise: a group holds its states as one contiguous (dim, configs, paths)
-array, so one drift and one diffusion evaluation serve all of its
-configurations, and it keeps its own path count, checkpoints and alive
-mask, so a divergence in one group never freezes another.  Each chunk
-of paths draws every stream NOISE_BLOCK steps at a time into one
-(steps, r, paths) block that all groups read, so each step reads one
-contiguous row of noise and memory does not grow with the step count.
+Each path draws its Gaussian increments from its own PCG64 stream, the
+one np.random.default_rng([seed, k]) gives for master seed seed and path
+index k, so any single path can be reproduced in isolation bit-exactly
+and results do not depend on how paths are grouped into chunks.  The
+single-path integrator, simulate_em, builds that generator through
+default_rng.  The ensemble kernel derives the PCG64 seeds of a whole
+chunk of paths at once: _path_seeds runs NumPy's SeedSequence hash
+(NEP 19) over the chunk's path indices as uint32 arrays, and each
+generator is seeded from its precomputed row, which gives the same
+streams at a fraction of the per-path cost.
+
+One step-major kernel, simulate_groups, runs every ensemble.  It steps
+groups of configurations that share each path's noise: a group holds
+its states as one contiguous (dim, configs, paths) array, so one drift
+and one diffusion evaluation serve all of its configurations, and it
+keeps its own path count, checkpoints and alive mask, so a divergence in
+one group never freezes another.  Paths go in chunks of up to 16384, so
+the CLI's 10,000-path ensembles run as one chunk.  Each chunk draws
+every stream a block of steps at a time into one (steps, r, paths)
+buffer that all groups read, so each step reads one contiguous row of
+noise and memory does not grow with the step count: a block is
+NOISE_BLOCK steps, or fewer when the chunk is wide, so that the buffer
+holds at most NOISE_BUDGET normals.
 Both integrators share one contraction sigma(x) z and one divergence
 test, which is what makes the single path and the ensemble agree bit
 for bit.  The moment-closeness and increment suites simulate the same
@@ -38,12 +49,96 @@ from .gridabs import FiniteAbstraction, flow_nominal, input_lattice
 from .sysdsl import SysModel, sample_box
 
 _DIVERGE_LIMIT = 1e9
-NOISE_BLOCK = 512  # steps of each path's stream drawn at a time
+NOISE_BLOCK = 512  # most steps of each path's stream drawn at a time
+NOISE_BUDGET = NOISE_BLOCK * 4096  # most normals in the noise buffer
 _NOISE_TILE = 256  # paths transposed together while their draws are in cache
+
+# NumPy's SeedSequence hash: the multiplier chains of its entropy pool
+# and of its output, the constants of its pool mixing, and the pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
 
 
 def _path_rng(seed, path_index):
     return np.random.default_rng([int(seed), int(path_index)])
+
+
+def _hasher(init, mult):
+    """One of SeedSequence's hashes on uint32 arrays; each call takes the next constant of its chain."""
+    const = init
+
+    def hashed(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    return hashed
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _path_seeds(seed, start, stop):
+    """PCG64 seeds of paths start, ..., stop - 1 as a (paths, 4) uint64 array.
+
+    Row i is SeedSequence([seed, start + i]).generate_state(4, np.uint64),
+    computed for all paths at once: the entropy words (seed's 32-bit words,
+    least significant first, then the path index) are hashed into a pool
+    of four words, mixed, and hashed out into eight words, each step one
+    array operation over the paths.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if stop > 2**32:
+        # such an index is two entropy words, which shifts the pool layout
+        raise ValueError(f"path index {stop - 1} is not below 2**32")
+    k = np.arange(start, stop, dtype=np.uint32)
+    entropy = []
+    while True:
+        entropy.append(np.full_like(k, seed & _MASK32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(k)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(k)) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    words = [out(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
+    # uint64 j is words 2j (low) and 2j + 1 (high), whatever the byte order
+    return np.column_stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])])
+
+
+def _chunk_rngs(seed, start, stop):
+    """The generators _path_rng(seed, k) for k = start, ..., stop - 1, from one _path_seeds call."""
+    # imported here: at module level it would add about 10 ms to import stochabs
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """A seed sequence that hands PCG64 its precomputed state words."""
+
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return [Generator(PCG64(_Words(row))) for row in _path_seeds(seed, start, stop)]
 
 
 def _noise_term(s, z):
@@ -173,7 +268,7 @@ class _Group:
             self.all_alive = False
 
 
-def simulate_groups(sys: SysModel, groups, tau, steps, seed, chunk=4096):
+def simulate_groups(sys: SysModel, groups, tau, steps, seed, chunk=16384):
     """One step-major Euler-Maruyama pass over groups of configurations.
 
     groups is a sequence of (configs, n_paths, checkpoint_steps), configs
@@ -183,8 +278,9 @@ def simulate_groups(sys: SysModel, groups, tau, steps, seed, chunk=4096):
     (len(configs), n_paths, len(checkpoint_steps), n).
 
     Paths go in chunks; each chunk's noise is drawn once, NOISE_BLOCK
-    steps at a time, into a (steps, r, paths) block that every group reads
-    its first columns of, so memory does not grow with steps.  A path that
+    steps at a time or fewer so that a block holds at most NOISE_BUDGET
+    normals, into a (steps, r, paths) block that every group reads its
+    first columns of, so memory does not grow with steps.  A path that
     turns non-finite or exceeds the limit in a configuration is flagged in
     its group, and that configuration and the later ones of the path
     freeze from that step on; the earlier ones take the step and then
@@ -196,19 +292,21 @@ def simulate_groups(sys: SysModel, groups, tau, steps, seed, chunk=4096):
     n_max = max((g.n_paths for g in plans), default=0)
 
     # One noise buffer for all chunks, and each chunk's generators (about
-    # 4 kB each) released before the next chunk's are built, so that peak
+    # 0.8 kB each) released before the next chunk's are built, so that peak
     # memory holds one chunk's worth of either.
-    noise = np.empty((min(NOISE_BLOCK, steps), sys.r, min(chunk, n_max)))
+    width = min(chunk, n_max)
+    block_steps = max(1, min(NOISE_BLOCK, steps, NOISE_BUDGET // (sys.r * max(width, 1))))
+    noise = np.empty((block_steps, sys.r, width))
     rngs = []
     for start in range(0, n_max, chunk):
         stop = min(start + chunk, n_max)
         rngs.clear()
-        rngs.extend(_path_rng(seed, k) for k in range(start, stop))
+        rngs.extend(_chunk_rngs(seed, start, stop))
         active = [g for g in plans if g.n_paths > start]
         for g in active:
             g.start_chunk(start, stop)
-        for k0 in range(0, steps, NOISE_BLOCK):
-            block = noise[: min(NOISE_BLOCK, steps - k0), :, : stop - start]
+        for k0 in range(0, steps, block_steps):
+            block = noise[: min(block_steps, steps - k0), :, : stop - start]
             _fill_noise(rngs, block, sdt)
             for k, zk in enumerate(block, start=k0 + 1):
                 for g in active:
@@ -227,7 +325,7 @@ def simulate_ensemble(
     n_paths,
     seed,
     checkpoint_steps,
-    chunk=4096,
+    chunk=16384,
 ):
     """Vectorized ensemble of one configuration; returns (values, diverged mask).
 

@@ -236,6 +236,21 @@ def test_nonpositive_samples_is_usage_error(argv, capsys):
     assert err.startswith("error: --samples must be positive") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lint", SCALAR], ["certify", SCALAR, "--out"], ["validate", SCALAR, "--tau", "0.5", "--out"]],
+    ids=["lint", "certify", "validate"],
+)
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[-1] == "--out":
+        argv = [*argv, str(out)]
+    assert main([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be non-negative, got -1") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     _scalar_abs_body(tmp_path)
     left = str(tmp_path / "abs" / "scalar1.abs")

@@ -215,6 +215,63 @@ def test_ensemble_memory_does_not_grow_with_chunks(scalar_model):
     assert peak(4 * 256) < 1.25 * peak(256)
 
 
+def test_one_wide_chunk_keeps_the_noise_budget(scalar_model):
+    # a 16384-path chunk draws 128-step blocks: the buffer holds the budget
+    # of normals (16 MB), not 512 steps' worth (64 MB), beside one chunk of
+    # generators (about 0.8 kB each) and the path states
+    n_paths = 16384
+    tracemalloc.start()
+    try:
+        simulate_ensemble(scalar_model, [0.5], [0.0], [0.1], 0.5, 600, n_paths, SEED, [600])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mcvalidate.NOISE_BUDGET * 8 + n_paths * 1024 + 2 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345])
+def test_chunk_streams_match_default_rng(seed):
+    # 2**130 + 12345 is five entropy words, one past the pool
+    for start, stop in ((0, 3), (16381, 16384), (16384, 16387)):
+        for k, rng in zip(range(start, stop), mcvalidate._chunk_rngs(seed, start, stop)):
+            ref = np.random.default_rng([seed, k]).standard_normal(300)
+            assert np.array_equal(rng.standard_normal(300), ref)
+
+
+def test_path_seeds_reject_negative_seed_and_wide_index():
+    with pytest.raises(ValueError, match="non-negative"):
+        mcvalidate._path_seeds(-1, 0, 4)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        mcvalidate._path_seeds(7, 2**32 - 2, 2**32 + 1)
+
+
+def test_grouped_results_do_not_depend_on_chunk(coupled2):
+    # 4500 paths: one chunk of 233-step blocks by default, chunks of 4096
+    # and 404 paths with 256-step blocks at chunk=4096; the first 60 paths
+    # again at chunk=16 with 512-step blocks.  Every block of 60 paths
+    # sweeps x1 over [0.2, 0.8], so some paths diverge and some do not.
+    n = 4500
+    x0 = np.column_stack([np.tile(np.linspace(0.2, 0.8, 60), n // 60), np.linspace(-0.5, 0.1, n)])
+    ckpt = [0, 233, 300, 512, 600]
+    us = np.linspace(-0.1, 0.1, 300)[:, None]
+
+    def groups(n_pair, n_rows):
+        pair = ([(x0[:n_pair], [0.05], [0.1]), (x0[:n_pair, ::-1].copy(), [-0.05], [-0.1])],
+                n_pair, ckpt)
+        rows = ([(0.3 * x0[:n_rows], us[:n_rows], -2.0 * us[:n_rows])], n_rows, [600])
+        return [pair, rows]
+
+    with np.errstate(all="ignore"):
+        wide = simulate_groups(coupled2, groups(n, 300), 1.0, 600, SEED)
+        split = simulate_groups(coupled2, groups(n, 300), 1.0, 600, SEED, chunk=4096)
+        narrow = simulate_groups(coupled2, groups(60, 40), 1.0, 600, SEED, chunk=16)
+    div = wide[0][1]
+    assert div.any() and not div.all() and div[:60].any() and not div[:60].all()
+    for (a, da), (b, db), (c, dc) in zip(wide, split, narrow):
+        assert np.array_equal(a, b) and np.array_equal(da, db)
+        assert np.array_equal(a[:, : c.shape[1]], c) and np.array_equal(da[: len(dc)], dc)
+
+
 def test_ensemble_mean_matches_closed_form(scalar_model):
     # E xi(t) = x0 e^{-t} for the linear system
     n = 20_000
