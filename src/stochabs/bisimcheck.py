@@ -26,6 +26,7 @@ take the general path, which evaluates (b) and then (c) per pair.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -249,37 +250,36 @@ def _largest_self_bisimulation(s, eps, eps_tilde, adm) -> RelationTable:
 REL_HEADER = "STOCHREL v1"
 
 
+def _relation_lines(rel: RelationTable, left: str, right: str) -> list:
+    """The lines of the relation file of rel between abstractions with these hashes."""
+    eps_tilde = "".join(" " + _g17(v) for v in rel.eps_tilde)
+    head = [f"left {left}", f"right {right}", f"eps {_g17(rel.eps)}", f"epstilde{eps_tilde}"]
+    return [REL_HEADER, *head, f"pairs {len(rel.pairs)}", *(f"{i} {j}" for (i, j) in sorted(rel.pairs))]
+
+
 def save_relation(rel: RelationTable, s1: FiniteAbstraction, s2: FiniteAbstraction, path):
-    lines = [
-        REL_HEADER,
-        f"left {s1.content_hash()}",
-        f"right {s2.content_hash()}",
-        f"eps {_g17(rel.eps)}",
-        "epstilde" + "".join(" " + _g17(v) for v in rel.eps_tilde),
-        f"pairs {len(rel.pairs)}",
-    ]
-    lines.extend(f"{i} {j}" for (i, j) in sorted(rel.pairs))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_relation_lines(rel, s1.content_hash(), s2.content_hash())) + "\n")
 
 
 def load_relation(path):
-    """Read a relation file; returns (table, left_hash, right_hash)."""
+    """Read a relation file; returns (table, left_hash, right_hash).
+
+    Only the lines save_relation writes are accepted: each under its
+    label, numbers in canonical form, the pairs ascending and nothing
+    after them.
+    """
     lines = read_text(path, FormatError).splitlines()
     if not lines or lines[0] != REL_HEADER:
         raise FormatError(f"bad header (expected {REL_HEADER!r})")
     try:
-        left = lines[1].split()[1]
-        right = lines[2].split()[1]
-        eps = float(lines[3].split()[1])
-        eps_tilde = tuple(float(v) for v in lines[4].split()[1:])
-        count = int(lines[5].split()[1])
-        pairs = frozenset(
-            (int(a), int(b)) for a, b in (line.split() for line in lines[6 : 6 + count])
-        )
-        if len(pairs) != count:
-            raise FormatError("pair count mismatch")
-    except (IndexError, ValueError) as exc:
+        (_, left), (_, right), (_, eps), (_, *eps_tilde), _ = (line.split(" ") for line in lines[1:6])
+        pairs = frozenset((int(i), int(j)) for i, j in (line.split(" ") for line in lines[6:]))
+        rel = RelationTable(pairs, float(eps), tuple(map(float, eps_tilde)))
+    except ValueError as exc:
         raise FormatError(f"malformed relation file: {exc}") from None
-    _check_precisions(eps, eps_tilde, FormatError)
-    return RelationTable(pairs=pairs, eps=eps, eps_tilde=eps_tilde), left, right
+    _check_precisions(rel.eps, rel.eps_tilde, FormatError)
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, _relation_lines(rel, left, right)), 1):
+        if got != want:
+            raise FormatError(f"line {n} reads {got!r}, expected {want!r}")
+    return rel, left, right

@@ -32,25 +32,36 @@ def _fmt(v):
     return str(v)
 
 
-def _emit_rows(rows, out_path=None):
+def _emit_rows(rows, out_dir, name):
+    """Print the rows, and write them to out_dir/name when out_dir is set."""
     for row in rows:
         print(",".join(_fmt(v) for v in row))
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        with open(Path(out_dir) / name, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rows)
 
 
-def _load_system(path):
-    obj = sysdsl.load(path)
-    if not isinstance(obj, sysdsl.SysModel):
-        raise StochabsError(f"{path}: expected a system file, found a network")
-    return obj
+def _infeasible(result):
+    """Name each infeasible node of a synthesis on stderr; returns exit code 1."""
+    for node in result.nodes:
+        if node.reason:
+            print(f"infeasible: {node.name}: {node.reason}", file=_sys.stderr)
+    return 1
 
 
-def _load_network(path):
+def _write_abstraction(abstraction, path):
+    abstraction.write(path)
+    print(f"{path}: {len(abstraction.states)} states, {len(abstraction.transitions)} transitions, "
+          f"hash {abstraction.content_hash()[:12]}")
+
+
+def _load(path, kind):
+    """Load a file that must hold a kind: sysdsl.SysModel or sysdsl.NetworkSpec."""
     obj = sysdsl.load(path)
-    if not isinstance(obj, sysdsl.NetworkSpec):
-        raise StochabsError(f"{path}: expected a network file, found a system")
+    if not isinstance(obj, kind):
+        want, found = ("system", "network") if kind is sysdsl.SysModel else ("network", "system")
+        raise StochabsError(f"{path}: expected a {want} file, found a {found}")
     return obj
 
 
@@ -96,7 +107,7 @@ def cmd_lint(args):
 
 def cmd_certify(args):
     _require_positive(args, "samples")
-    model = _load_system(args.file)
+    model = _load(args.file, sysdsl.SysModel)
     cert = _certificate(model, args)
     report = certify.verify_certificate(
         model, cert, mode=args.mode, samples=args.samples, seed=args.seed
@@ -126,10 +137,7 @@ def cmd_certify(args):
             for frac in (0.25, 0.5, 1.0):
                 t = args.tau * frac
                 rows.append(("noise_gap", t, certify.noise_gap_bound(kit, model, t)))
-    out = Path(args.out) / "certify.csv" if args.out else None
-    if out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    _emit_rows(rows, out)
+    _emit_rows(rows, args.out, "certify.csv")
     return 0 if report.accepted else 1
 
 
@@ -153,17 +161,8 @@ def cmd_params(args):
                 rows.append((key, node.name, val))
             if node.reason:
                 rows.append(("reason", node.name, node.reason))
-        out = Path(args.out) / "params.csv" if args.out else None
-        if out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        _emit_rows(rows, out)
-        if not result.feasible:
-            for node in result.nodes:
-                if not node.reason:
-                    continue
-                print(f"infeasible: {node.name}: {node.reason}", file=_sys.stderr)
-            return 1
-        return 0
+        _emit_rows(rows, args.out, "params.csv")
+        return 0 if result.feasible else _infeasible(result)
 
     model = obj
     if args.tau is None or args.eps is None:
@@ -189,10 +188,7 @@ def cmd_params(args):
     rows += [(key, "", val) for key, val in terms.items()]
     feasible = args.eps > floor and terms["pitch_bound"] > 0
     rows.append(("feasible", "", int(feasible)))
-    out = Path(args.out) / "params.csv" if args.out else None
-    if out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    _emit_rows(rows, out)
+    _emit_rows(rows, args.out, "params.csv")
     if not feasible:
         which = (
             "precision target below its achievable floor"
@@ -211,10 +207,7 @@ def cmd_abstract(args):
     if isinstance(obj, sysdsl.NetworkSpec):
         result = netcomp.synthesize_params(obj, seed=args.seed)
         if not result.feasible and not args.force:
-            for node in result.nodes:
-                if node.reason:
-                    print(f"infeasible: {node.name}: {node.reason}", file=_sys.stderr)
-            return 1
+            return _infeasible(result)
         etas = result.etas()
         omegas = {i: node.omega for i, node in enumerate(result.nodes)}
         for i, name in enumerate(obj.node_names):
@@ -222,10 +215,7 @@ def cmd_abstract(args):
                 obj, i, etas, omegas, force=args.force,
                 max_cells=args.max_cells, workers=args.workers,
             )
-            path = out_dir / f"{name}.abs"
-            abs_i.write(path)
-            print(f"{path}: {len(abs_i.states)} states, {len(abs_i.transitions)} transitions, "
-                  f"hash {abs_i.content_hash()[:12]}")
+            _write_abstraction(abs_i, out_dir / f"{name}.abs")
         return 0
 
     model = obj
@@ -253,15 +243,12 @@ def cmd_abstract(args):
         max_cells=args.max_cells,
         workers=args.workers,
     )
-    path = out_dir / f"{model.name}.abs"
-    abstraction.write(path)
-    print(f"{path}: {len(abstraction.states)} states, {len(abstraction.transitions)} transitions, "
-          f"hash {abstraction.content_hash()[:12]}")
+    _write_abstraction(abstraction, out_dir / f"{model.name}.abs")
     return 0
 
 
 def cmd_compose(args):
-    spec = _load_network(args.network)
+    spec = _load(args.network, sysdsl.NetworkSpec)
     parts = [gridabs.read_abstraction(p) for p in args.abstractions]
     composed = netcomp.compose_abstractions(spec, parts)
     out_dir = Path(args.out)
@@ -301,33 +288,16 @@ def cmd_bisim(args):
 
 def cmd_validate(args):
     _require_positive(args, "paths", "pairs", "steps")
-    model = _load_system(args.file)
+    model = _load(args.file, sysdsl.SysModel)
     cert = _certificate(model, args)
-    report = certify.verify_certificate(model, cert, mode="sampled", samples=2000, seed=args.seed)
-    if not report.accepted:
-        print(f"certificate refuted (margin {report.margin:.4g})", file=_sys.stderr)
-        return 1
-    kit = certify.derive_bounds(model, cert)
     tau = args.tau
-    floor = certify.precision_lower_bound(kit, model, tau, eps_tilde_norm=args.eps_tilde_norm)
-    eps = args.eps if args.eps is not None else max(
-        1.25 * floor, 0.25 * certify.inf_diameter(model.domain)
-    )
-    if eps <= floor:
-        print(f"infeasible: eps {eps} is not above the floor {floor:.6g}", file=_sys.stderr)
+    node = netcomp.synthesize_node(model, cert, tau, args.eps, args.eps_tilde_norm, seed=args.seed)
+    if not node.feasible:
+        print(f"infeasible: {node.reason}", file=_sys.stderr)
         return 1
-    widths = [hi - lo for lo, hi in model.input_box]
-    omega, terms = certify.search_input_pitch(
-        kit, model, tau, eps, min(widths) if widths else 0.0, 1e-6,
-        eps_tilde_norm=args.eps_tilde_norm,
-    )
-    if terms["pitch_bound"] < 1e-6:
-        print("infeasible: no admissible state pitch", file=_sys.stderr)
-        return 1
-    eta = gridabs.snap_state_pitch(model.domain, min(terms["pitch_bound"], eps))
-    omega_t = gridabs.snap_input_pitch(model.input_box, omega) if model.m else ()
+    kit, eps, eta = node.kit, node.eps, node.eta
     abstraction = gridabs.build_abstraction(
-        model, tau, eta, omega_t, eps=eps,
+        model, tau, eta, node.omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
         max_cells=args.max_cells, workers=args.workers,
     )
@@ -393,7 +363,10 @@ def cmd_report(args):
     return 0 if ok else 1
 
 
-def _add_common(p, seed=True, out=False):
+def _add_common(p, seed=True, out=False, cert=False):
+    if cert:
+        p.add_argument("--kappa", type=float, help="override: decay rate of the certificate")
+        p.add_argument("--P", dest="p_matrix", help="override: certificate matrix")
     if seed:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="master random seed (default %(default)s)")
@@ -441,9 +414,7 @@ def build_parser():
                    help="disturbance mismatch norm (default %(default)s)")
     p.add_argument("--samples", type=int, default=2000,
                    help="certificate sampling count (default %(default)s)")
-    p.add_argument("--kappa", type=float, help="override: decay rate of the certificate")
-    p.add_argument("--P", dest="p_matrix", help="override: certificate matrix")
-    _add_common(p, out=True)
+    _add_common(p, out=True, cert=True)
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("abstract", formatter_class=width,
@@ -461,9 +432,7 @@ def build_parser():
                    help="cap on state*input*disturbance cells (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; output is identical for any count (default %(default)s)")
-    p.add_argument("--kappa", type=float, help="override: decay rate of the certificate")
-    p.add_argument("--P", dest="p_matrix", help="override: certificate matrix")
-    _add_common(p)
+    _add_common(p, cert=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_abstract)
 
@@ -502,9 +471,7 @@ def build_parser():
                    help="abstraction cell cap (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; output is identical for any count (default %(default)s)")
-    p.add_argument("--kappa", type=float, help="override: decay rate of the certificate")
-    p.add_argument("--P", dest="p_matrix", help="override: certificate matrix")
-    _add_common(p)
+    _add_common(p, cert=True)
     p.add_argument("--out", required=True, help="output directory for CSV reports")
     p.set_defaults(fn=cmd_validate)
 

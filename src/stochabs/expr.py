@@ -13,7 +13,7 @@ then + -, all binary operators left-associative)::
 
 Evaluation is plain IEEE double arithmetic, left to right, and accepts
 numpy arrays for the variable values so that ensembles evaluate in one
-pass.
+pass.  Parsing and evaluation recurse, so deeper than MAX_DEPTH is refused.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import numpy as np
 from .errors import ExprEvalError, ParseError
 
 _FUNCTIONS = ("sin", "cos", "tanh", "exp")
+
+#: Deepest accepted tree (each operator, call or pow one level) and nesting
+#: of parentheses: far above hand-written terms, far below the recursion limit.
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -134,6 +138,14 @@ class _Parser:
         self.line = line
         self.end_col = end_col
         self.dims = dims  # (n, m, p) or None to skip index validation
+        self.open = 0  # parentheses, calls and unary minus being parsed
+
+    def _deeper(self, depth, tok):
+        """depth + 1 (of a node over its children, or of open constructs), refused
+        past MAX_DEPTH at tok.  expr, term, factor and atom return (node, depth)."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2], tok[3])
+        return depth + 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -152,58 +164,65 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
         return e
 
     def expr(self):
-        e = self.term()
+        e, d = self.term()
         while (tok := self.peek()) is not None and tok[1] in "+-":
             self.next()
-            e = Bin(tok[1], e, self.term())
-        return e
+            rhs, rd = self.term()
+            e, d = Bin(tok[1], e, rhs), self._deeper(max(d, rd), tok)
+        return e, d
 
     def term(self):
-        e = self.factor()
+        e, d = self.factor()
         while (tok := self.peek()) is not None and tok[1] in "*/":
             self.next()
-            e = Bin(tok[1], e, self.factor())
-        return e
+            rhs, rd = self.factor()
+            e, d = Bin(tok[1], e, rhs), self._deeper(max(d, rd), tok)
+        return e, d
 
     def factor(self):
         tok = self.peek()
         if tok is not None and tok[1] == "-":
             self.next()
-            return Neg(self.factor())
+            self.open = self._deeper(self.open, tok)
+            arg, d = self.factor()
+            self.open -= 1
+            return Neg(arg), self._deeper(d, tok)
         return self.atom()
 
     def atom(self):
         tok = self.next()
         kind, text, line, col = tok
         if kind == "num":
-            return Lit(float(text))
+            return Lit(float(text)), 1
         if text == "(":
-            e = self.expr()
+            self.open = self._deeper(self.open, tok)
+            e, d = self.expr()
             self.expect(")")
-            return e
+            self.open -= 1
+            return e, d
         if kind == "ident":
-            if text in _FUNCTIONS:
+            if text in _FUNCTIONS or text == "pow":
+                self.open = self._deeper(self.open, tok)
                 self.expect("(")
-                arg = self.expr()
+                arg, d = self.expr()
+                if text == "pow":
+                    self.expect(",")
+                    node = Pow(arg, self._int_literal())
+                else:
+                    node = Call(text, arg)
                 self.expect(")")
-                return Call(text, arg)
-            if text == "pow":
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                power = self._int_literal()
-                self.expect(")")
-                return Pow(base, power)
+                self.open -= 1
+                return node, self._deeper(d, tok)
             m = re.fullmatch(r"([xuw])(\d+)", text)
             if m:
-                return self._var(m.group(1), int(m.group(2)), line, col)
+                return self._var(m.group(1), int(m.group(2)), line, col), 1
             raise ParseError(f"unknown identifier {text!r}", line, col)
         raise ParseError(f"unexpected token {text!r}", line, col)
 

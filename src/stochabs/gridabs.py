@@ -336,7 +336,7 @@ class _TableView(Mapping):
         return self.ood.size
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FiniteAbstraction:
     """Countable deterministic transition system over lattice points.
 
@@ -348,6 +348,8 @@ class FiniteAbstraction:
     vectors split into blocks (dist_blocks gives the sizes,
     dist_block_nodes the supplying node name or '' when free); the vector
     metric between two disturbance values is the per-block infinity norm.
+    Fields are frozen and the arrays read-only, so the content hash is
+    computed once, by the first serialize or from the text deserialize read.
     """
 
     system: str
@@ -366,6 +368,13 @@ class FiniteAbstraction:
     external_names: tuple
     succ: np.ndarray
     ood: np.ndarray
+
+    def __post_init__(self):
+        self.succ.flags.writeable = self.ood.flags.writeable = False
+
+    def __getstate__(self):
+        """A copy's arrays are writeable again, so it leaves the digest behind."""
+        return {k: v for k, v in self.__dict__.items() if k != "_digest"}
 
     def __eq__(self, other):
         """Field-wise equality; the table arrays, the last two fields, by value."""
@@ -427,10 +436,13 @@ class FiniteAbstraction:
         ]
         body = "\n".join(lines) + "\n"
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_digest", digest)
         return body + f"hash {digest}\n"
 
     def content_hash(self) -> str:
-        return self.serialize().rsplit("hash ", 1)[1].strip()
+        if "_digest" not in self.__dict__:
+            self.serialize()
+        return self._digest
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -453,9 +465,11 @@ def deserialize(text: str) -> FiniteAbstraction:
     if text != body + lines[-1] + "\n":
         raise FormatError("lines do not each end in a single newline")
     try:
-        return _parse_body(lines)
+        a = _parse_body(lines)
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed abstraction file: {exc}") from None
+    object.__setattr__(a, "_digest", digest)
+    return a
 
 
 _INT = r"(?:0|-?[1-9]\d{0,17})"

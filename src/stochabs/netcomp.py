@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certify import (
+    BoundKit,
     QuadraticCertificate,
     derive_bounds,
+    inf_diameter,
     neighbor_drift_bound,
     precision_lower_bound,
     search_input_pitch,
@@ -29,6 +31,10 @@ from .certify import (
 from .errors import AbstractionError, ModelError
 from .gridabs import FiniteAbstraction, Lattice, _pack, snap_input_pitch, snap_state_pitch
 from .sysdsl import NetworkSpec
+
+ETA_FLOOR = 1e-6  # smallest state pitch a synthesis accepts
+VERIFY_SAMPLES = 2000  # points sampled by a synthesis's certificate check
+MAX_SYMBOLS = 100_000  # largest disturbance alphabet of a node
 
 
 def neighbors_of_set(spec: NetworkSpec, subset) -> tuple:
@@ -44,7 +50,7 @@ def neighbors_of_set(spec: NetworkSpec, subset) -> tuple:
     return tuple(sorted(result))
 
 
-def build_wtilde(spec: NetworkSpec, i: int, etas, max_symbols: int = 100_000):
+def build_wtilde(spec: NetworkSpec, i: int, etas):
     """Disturbance alphabet of node i: the product of neighbour lattices.
 
     etas maps node index to that node's state pitch.  Returns
@@ -57,8 +63,8 @@ def build_wtilde(spec: NetworkSpec, i: int, etas, max_symbols: int = 100_000):
         return ((0.0,) * p,), (1,) * p, ("",) * p
     grids = [Lattice.create(spec.nodes[j].domain, etas[j]) for j in nbrs]
     total = math.prod(g.count for g in grids)
-    if total > max_symbols:
-        raise AbstractionError(f"disturbance alphabet needs {total} symbols, cap is {max_symbols}")
+    if total > MAX_SYMBOLS:
+        raise AbstractionError(f"disturbance alphabet needs {total} symbols, cap is {MAX_SYMBOLS}")
     symbols = [
         tuple(itertools.chain.from_iterable(combo))
         for combo in itertools.product(*[g.points() for g in grids])
@@ -95,15 +101,16 @@ def psi_bound(spec: NetworkSpec, i: int, t: float) -> float:
 @dataclass
 class NodeSynthesis:
     name: str
-    feasible: bool
-    eps: float
-    eps_floor: float
-    eta: tuple  # per-axis pitch, () when infeasible
-    omega: tuple
+    eps: float | None  # None until synthesize_node picks the default
     psi_tau: float
     eps_tilde_norm: float
-    terms: dict
+    feasible: bool = False
+    eps_floor: float = math.nan
+    eta: tuple = ()  # per-axis pitch, () when infeasible
+    omega: tuple = ()
+    terms: dict = field(default_factory=dict)
     reason: str | None = None
+    kit: BoundKit | None = None  # the gains derived from the verified certificate
 
 
 @dataclass
@@ -115,102 +122,66 @@ class SynthesisResult:
         return {i: node.eta for i, node in enumerate(self.nodes)}
 
 
-def synthesize_params(
-    spec: NetworkSpec,
-    eta_floor: float = 1e-6,
-    verify_samples: int = 2000,
-    seed: int = 0,
-) -> SynthesisResult:
-    """Pick per-node (eta, omega) for the declared precision targets.
+def synthesize_node(
+    sys, cert, tau, eps=None, eps_tilde_norm=0.0, psi_tau=0.0, omega_cap=None, eta_cap=None, seed=0
+) -> NodeSynthesis:
+    """Pick (eta, omega) for one system at precision eps (None: max(1.25 floor, diameter / 4)).
 
-    For every node the input pitch starts at the input-box width and is
-    halved until the admissible state pitch clears eta_floor; the state
-    pitch is then capped by the node's precision and snapped down so its
-    lattice covers the domain.  All-or-nothing: one infeasible node
-    makes the whole network infeasible (each is still reported).
+    After the sampled certificate check and the floor test, the input pitch
+    is halved from the input-box width (capped by omega_cap) until the state
+    pitch bound clears ETA_FLOOR; the state pitch, capped by eps and eta_cap,
+    and the input pitch are then snapped to lattices that cover their boxes.
     """
-    results = []
-    all_ok = True
+    node = NodeSynthesis(sys.name, eps, psi_tau, eps_tilde_norm)
+    report = verify_certificate(sys, cert, mode="sampled", samples=VERIFY_SAMPLES, seed=seed)
+    if not report.accepted:
+        node.reason = f"certificate refuted by sampling (margin {report.margin:.3g})"
+        return node
+    node.kit = kit = derive_bounds(sys, cert)
+    node.eps_floor = floor = precision_lower_bound(
+        kit, sys, tau, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau
+    )
+    if eps is None:
+        node.eps = eps = max(1.25 * floor, 0.25 * inf_diameter(sys.domain))
+    if eps <= floor:
+        node.reason = f"precision target {eps} is not above the achievable floor {floor:.6g}"
+        return node
+    omega_max = min((hi - lo for lo, hi in sys.input_box), default=0.0)
+    if omega_cap is not None:
+        omega_max = min(omega_max, omega_cap) if omega_max > 0 else omega_cap
+    omega, node.terms = search_input_pitch(
+        kit, sys, tau, eps, omega_max, ETA_FLOOR, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau
+    )
+    bound = node.terms["pitch_bound"]
+    if bound < ETA_FLOOR:
+        node.reason = f"no admissible state pitch above the floor (best bound {bound:.6g} at omega {omega:.6g})"
+        return node
+    eta_target = min(bound, eps) if eta_cap is None else min(bound, eps, eta_cap)
+    node.eta = snap_state_pitch(sys.domain, eta_target)
+    node.omega = snap_input_pitch(sys.input_box, omega) if sys.m else ()
+    node.feasible = True
+    return node
+
+
+def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
+    """synthesize_node for every node, under its neighbours' precision and
+    drift bound and its declared caps.  All-or-nothing: one infeasible node
+    makes the network infeasible (each is still reported)."""
+    nodes = []
     for i, sys in enumerate(spec.nodes):
-        name = spec.node_names[i]
-        eps_i = spec.eps[i]
         etv = eps_tilde_vec(spec, i)
         etn = float(etv.max()) if etv.size else 0.0
         psi_tau = psi_bound(spec, i, spec.tau)
-
-        def fail(reason, eps_floor=math.nan, terms=None):
-            results.append(
-                NodeSynthesis(
-                    name=name,
-                    feasible=False,
-                    eps=eps_i,
-                    eps_floor=eps_floor,
-                    eta=(),
-                    omega=(),
-                    psi_tau=psi_tau,
-                    eps_tilde_norm=etn,
-                    terms=terms or {},
-                    reason=reason,
-                )
-            )
-
         try:
             cert = QuadraticCertificate.from_model(sys)
         except Exception as exc:
-            fail(str(exc))
-            all_ok = False
-            continue
-        report = verify_certificate(sys, cert, mode="sampled", samples=verify_samples, seed=seed)
-        if not report.accepted:
-            fail(f"certificate refuted by sampling (margin {report.margin:.3g})")
-            all_ok = False
-            continue
-        kit = derive_bounds(sys, cert)
-        eps_floor = precision_lower_bound(kit, sys, spec.tau, eps_tilde_norm=etn, psi_tau=psi_tau)
-        if eps_i <= eps_floor:
-            fail(
-                f"precision target {eps_i} is not above the achievable floor {eps_floor:.6g}",
-                eps_floor=eps_floor,
+            node = NodeSynthesis(sys.name, spec.eps[i], psi_tau, etn, reason=str(exc))
+        else:
+            node = synthesize_node(
+                sys, cert, spec.tau, spec.eps[i], etn, psi_tau, spec.omega[i], spec.eta[i], seed
             )
-            all_ok = False
-            continue
-
-        widths = [hi - lo for lo, hi in sys.input_box]
-        omega_max = min(widths) if widths else 0.0
-        if spec.omega[i] is not None:
-            omega_max = min(omega_max, spec.omega[i]) if omega_max > 0 else spec.omega[i]
-        omega, terms = search_input_pitch(
-            kit, sys, spec.tau, eps_i, omega_max, eta_floor, eps_tilde_norm=etn, psi_tau=psi_tau
-        )
-        if terms["pitch_bound"] < eta_floor:
-            fail(
-                "no admissible state pitch above the floor "
-                f"(best bound {terms['pitch_bound']:.6g} at omega {omega:.6g})",
-                eps_floor=eps_floor,
-                terms=terms,
-            )
-            all_ok = False
-            continue
-
-        eta_target = min(terms["pitch_bound"], eps_i)
-        if spec.eta[i] is not None:
-            eta_target = min(eta_target, spec.eta[i])
-        eta = snap_state_pitch(sys.domain, eta_target)
-        omega_snapped = snap_input_pitch(sys.input_box, omega) if sys.m else ()
-        results.append(
-            NodeSynthesis(
-                name=name,
-                feasible=True,
-                eps=eps_i,
-                eps_floor=eps_floor,
-                eta=eta,
-                omega=omega_snapped,
-                psi_tau=psi_tau,
-                eps_tilde_norm=etn,
-                terms=terms,
-            )
-        )
-    return SynthesisResult(nodes=results, feasible=all_ok)
+        nodes.append(replace(node, name=spec.node_names[i]))
+    return SynthesisResult(nodes=nodes, feasible=all(node.feasible for node in nodes))
 
 
 def build_node_abstraction(
@@ -251,9 +222,7 @@ def build_node_abstraction(
     )
     # Composition wires blocks by network node name, so label the part
     # with its node name rather than the underlying system name.
-    abs_i.system = spec.node_names[i]
-    abs_i.node_names = (spec.node_names[i],)
-    return abs_i
+    return replace(abs_i, system=spec.node_names[i], node_names=(spec.node_names[i],))
 
 
 def composed_relation_params(spec: NetworkSpec, subset, eps=None):

@@ -12,7 +12,7 @@ from stochabs.bisimcheck import (
     save_relation,
     vector_metric,
 )
-from stochabs.errors import ModelError
+from stochabs.errors import FormatError, ModelError
 from stochabs.gridabs import FiniteAbstraction
 from tests.conftest import table
 
@@ -209,6 +209,32 @@ def test_relation_file_roundtrip(tmp_path, scalar_model):
     assert loaded.pairs == rel.pairs
     assert loaded.eps == rel.eps and loaded.eps_tilde == rel.eps_tilde
     assert lh == rh == a.content_hash()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: [ls[0], "foo " + ls[1].split()[1], *ls[2:]], "line 2 reads 'foo [0-9a-f]+', expected 'left "),
+        (lambda ls: [*ls[:3], "zzz 0.5", *ls[4:]], "line 4 reads 'zzz 0.5', expected 'eps 0.5'"),
+        (lambda ls: [*ls[:3], "eps 0.0", *ls[4:]], "line 4 reads 'eps 0.0', expected 'eps 0'"),
+        (lambda ls: [*ls[:3], "eps 0 0", *ls[4:]], "malformed relation file"),
+        (lambda ls: ls[:5], "malformed relation file"),
+        (lambda ls: [*ls, "0 1"], "line 6 reads 'pairs 5', expected 'pairs 6'"),
+        (lambda ls: [*ls, ""], "malformed relation file"),
+        (lambda ls: [*ls, ls[-1]], "line 12 reads '4 4', expected None"),
+        (lambda ls: [*ls[:-2], ls[-1], ls[-2]], "line 10 reads '4 4', expected '3 3'"),
+        (lambda ls: ls[:-1], "line 6 reads 'pairs 5', expected 'pairs 4'"),
+    ],
+    ids=["left-label", "eps-label", "eps-not-canonical", "eps-two-values", "no-pairs-line",
+         "extra-pair", "blank-line", "duplicate-pair", "pairs-descending", "missing-pair"],
+)
+def test_relation_file_is_strict(edit, message, tmp_path, scalar_model):
+    a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    path = tmp_path / "r.rel"
+    save_relation(largest_bisimulation(a, a, 0.0, (0.0,)), a, a, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(FormatError, match=message):
+        load_relation(path)
 
 
 # -- self-bisimulation: both sides one abstraction -----------------------------

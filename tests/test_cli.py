@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from stochabs import bisimcheck, gridabs, mcvalidate
+from stochabs import bisimcheck, certify, gridabs, mcvalidate, netcomp, sysdsl
 from stochabs.cli import build_parser, main
 from tests.conftest import DATA
 
@@ -125,6 +125,75 @@ def test_validate_and_report(tmp_path, capsys):
     # a FAIL row flips the report exit code
     (out / "fake.csv").write_text("check,t,empirical,std-error,bound,verdict\nx,0,1,0,0,FAIL\n")
     assert main(["report", "--out", str(out)]) == 1
+
+
+def test_validate_below_the_floor_is_infeasible(tmp_path, capsys):
+    assert main(["validate", SCALAR, "--tau", "0.5", "--eps", "0.01", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: precision target 0.01 is not above the achievable floor 2.902")
+
+
+def test_validate_refuted_certificate_is_infeasible(tmp_path, capsys):
+    argv = ["validate", SCALAR, "--tau", "0.5", "--kappa", "0.9", "--P", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("infeasible: certificate refuted by sampling (margin")
+
+
+def test_validate_builds_with_the_synthesized_pitches(tmp_path, monkeypatch):
+    built = []
+    build = gridabs.build_abstraction
+
+    def spy(model, tau, eta, omega, **kwargs):
+        built.append((eta, omega, kwargs["eps"]))
+        return build(model, tau, eta, omega, **kwargs)
+
+    monkeypatch.setattr(gridabs, "build_abstraction", spy)
+    assert main(["validate", SCALAR, "--tau", "0.5", "--paths", "40", "--pairs", "4",
+                 "--steps", "16", "--out", str(tmp_path)]) == 0
+    model = sysdsl.load(SCALAR)
+    cert = certify.QuadraticCertificate.from_model(model)
+    node = netcomp.synthesize_node(model, cert, 0.5, seed=1729)
+    # the pitches and default eps validate chose before it called synthesize_node
+    assert node.feasible and node.eta == (1 / 3,) and node.omega == (0.1,)
+    assert node.eps == 3.6275099988467567
+    assert built == [(node.eta, node.omega, node.eps)]
+
+
+def test_each_abstraction_is_serialized_at_most_once(tmp_path, monkeypatch):
+    serialized = []
+    serialize = gridabs.FiniteAbstraction.serialize
+
+    def counted(self):
+        serialized.append(self.system)
+        return serialize(self)
+
+    monkeypatch.setattr(gridabs.FiniteAbstraction, "serialize", counted)
+    out = tmp_path / "net"
+    assert main(["abstract", PAIR, "--out", str(out)]) == 0
+    assert main(["abstract", SCALAR, "--tau", "0.5", "--eta", "0.13", "--omega", "0.1",
+                 "--out", str(out)]) == 0
+    assert serialized == ["a", "b", "scalar1"]
+    serialized.clear()
+    left = str(out / "a.abs")
+    assert main(["bisim", left, left, "--eps", "0", "--eps-tilde", "0", "--out", str(out)]) == 0
+    assert main(["bisim", left, left, "--check", str(out / "relation.rel")]) == 0
+    assert serialized == []
+
+
+DEEP_DRIFTS = {
+    "parentheses": "(" * 2000 + "-x1" + ")" * 2000,
+    "unary-minus": "-" * 3000 + "x1",
+    "flat-sum": " + ".join(["-x1"] * 3000),
+}
+
+
+@pytest.mark.parametrize("drift", list(DEEP_DRIFTS.values()), ids=list(DEEP_DRIFTS))
+def test_deep_expression_is_usage_error(drift, tmp_path, capsys):
+    path = tmp_path / "deep.sys"
+    path.write_text((DATA / "scalar.sys").read_text().replace("-x1 + u1 + w1", drift))
+    assert main(["lint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7, col ") and "nested deeper than 100 levels" in err
 
 
 # sha256 of each report of `validate scalar.sys --tau 0.5 --paths 400

@@ -3,6 +3,7 @@ import pytest
 
 from stochabs.errors import ExprEvalError, ParseError
 from stochabs.expr import (
+    MAX_DEPTH,
     Bin,
     Call,
     Lit,
@@ -80,6 +81,28 @@ def random_expr(rng, depth=0):
         fn = ("sin", "cos", "tanh", "exp")[rng.integers(4)]
         return Call(fn, random_expr(rng, depth + 1))
     return Pow(random_expr(rng, depth + 1), int(rng.integers(-3, 4)))
+
+
+@pytest.mark.parametrize(
+    "deepest, deeper, col",
+    [
+        (" + ".join(["x1"] * MAX_DEPTH), " + ".join(["x1"] * (MAX_DEPTH + 1)), 5 * MAX_DEPTH - 1),
+        ("-" * (MAX_DEPTH - 1) + "x1", "-" * MAX_DEPTH + "x1", 1),
+        ("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, "(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1),
+         MAX_DEPTH + 1),
+        ("sin(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), "sin(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+         1),
+    ],
+    ids=["sum", "unary-minus", "parentheses", "calls"],
+)
+def test_depth_limit(deepest, deeper, col):
+    # a too-deep tree is refused at the operator that tops it, too-deep
+    # parentheses at the one that opens a level too many
+    e = parse_expr(deepest, dims=DIMS)
+    assert parse_expr(to_source(e), dims=DIMS) == e
+    assert np.isfinite(e.eval(np.array([0.5, 0, 0]), np.zeros(2), np.zeros(2)))
+    with pytest.raises(ParseError, match=f"line 1, col {col}: expression nested deeper than {MAX_DEPTH}"):
+        parse_expr(deeper, dims=DIMS)
 
 
 def test_roundtrip_500():

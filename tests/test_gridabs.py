@@ -235,6 +235,20 @@ def test_abstraction_equality(scalar_model):
     assert a != "scalar1"
 
 
+def test_abstraction_is_immutable_and_hashed_once(scalar_model):
+    a = build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    digest = a.content_hash()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.system = "other"
+    for array in (a.succ, a.ood):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0
+    # a copy's arrays are writeable, so it computes its own digest
+    b = copy.deepcopy(a)
+    b.succ[2, 0, 0, 0] += 1
+    assert b.content_hash() != digest == a.content_hash() == deserialize(a.serialize()).content_hash()
+
+
 def test_transitions_view(scalar_model):
     a = build_abstraction(scalar_model, 0.5, 0.25, 0.1, dists=((-1.0,), (0.0,), (1.0,)))
     view = a.transitions
