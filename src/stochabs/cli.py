@@ -27,6 +27,8 @@ DEFAULT_SEED = 1729
 
 
 def _fmt(v):
+    if v is None:  # as csv.writer writes it
+        return ""
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
@@ -42,11 +44,11 @@ def _emit_rows(rows, out_dir, name):
             csv.writer(fh).writerows(rows)
 
 
-def _infeasible(result):
-    """Name each infeasible node of a synthesis on stderr; returns exit code 1."""
-    for node in result.nodes:
+def _infeasible(nodes, named=True):
+    """Print each infeasible node's reason (after its name when named); returns exit code 1."""
+    for node in nodes:
         if node.reason:
-            print(f"infeasible: {node.name}: {node.reason}", file=_sys.stderr)
+            print(f"infeasible: {node.name + ': ' if named else ''}{node.reason}", file=_sys.stderr)
     return 1
 
 
@@ -69,6 +71,13 @@ def _require_positive(args, *flags):
     for flag in flags:
         if getattr(args, flag) < 1:
             raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
+
+
+def _require_finite(args, *flags):
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"--{flag.replace('_', '-')} must be finite, got {value}")
 
 
 def _reals(text, flag):
@@ -107,6 +116,7 @@ def cmd_lint(args):
 
 def cmd_certify(args):
     _require_positive(args, "samples")
+    _require_finite(args, "tau", "kappa")
     model = _load(args.file, sysdsl.SysModel)
     cert = _certificate(model, args)
     report = certify.verify_certificate(
@@ -141,73 +151,48 @@ def cmd_certify(args):
     return 0 if report.accepted else 1
 
 
-def cmd_params(args):
-    _require_positive(args, "samples")
-    obj = sysdsl.load(args.file)
-    if isinstance(obj, sysdsl.NetworkSpec):
-        result = netcomp.synthesize_params(obj, seed=args.seed)
-        rows = [("quantity", "parameter", "value")]
-        for node in result.nodes:
-            rows.append(("feasible", node.name, int(node.feasible)))
-            rows.append(("eps", node.name, node.eps))
-            rows.append(("eps_floor", node.name, node.eps_floor))
-            rows.append(("psi_tau", node.name, node.psi_tau))
-            rows.append(("eps_tilde_norm", node.name, node.eps_tilde_norm))
-            for i, v in enumerate(node.eta):
-                rows.append(("eta", f"{node.name}[{i}]", v))
-            for i, v in enumerate(node.omega):
-                rows.append(("omega", f"{node.name}[{i}]", v))
-            for key, val in node.terms.items():
-                rows.append((key, node.name, val))
-            if node.reason:
-                rows.append(("reason", node.name, node.reason))
-        _emit_rows(rows, args.out, "params.csv")
-        return 0 if result.feasible else _infeasible(result)
+def _node_rows(node):
+    """The params ledger rows of one synthesized node, keyed by its name."""
+    rows = [("feasible", node.name, int(node.feasible)), ("certificate", node.name, node.mode),
+            ("eps", node.name, node.eps), ("eps_floor", node.name, node.eps_floor),
+            ("psi_tau", node.name, node.psi_tau), ("eps_tilde_norm", node.name, node.eps_tilde_norm)]
+    rows += [("eta", f"{node.name}[{i}]", v) for i, v in enumerate(node.eta)]
+    rows += [("omega", f"{node.name}[{i}]", v) for i, v in enumerate(node.omega)]
+    rows += [(key, node.name, val) for key, val in node.terms.items()]
+    if node.reason:
+        rows.append(("reason", node.name, node.reason))
+    return rows
 
-    model = obj
-    if args.tau is None or args.eps is None:
-        raise StochabsError("single-system params needs --tau and --eps")
-    cert = _certificate(model, args)
-    report = certify.verify_certificate(model, cert, mode="sampled", samples=args.samples, seed=args.seed)
-    if not report.accepted:
-        print(f"certificate refuted (margin {report.margin:.4g})", file=_sys.stderr)
-        return 1
-    kit = certify.derive_bounds(model, cert)
-    floor = certify.precision_lower_bound(
-        kit, model, args.tau, eps_tilde_norm=args.eps_tilde_norm
-    )
-    omega = args.omega
-    if omega is None:
-        widths = [hi - lo for lo, hi in model.input_box]
-        omega = min(widths) if widths else 0.0
-    terms = certify.pitch_terms(
-        kit, model, args.tau, args.eps, omega, eps_tilde_norm=args.eps_tilde_norm
-    )
-    rows = [("quantity", "parameter", "value"), ("eps", "", args.eps), ("eps_floor", "", floor),
-            ("omega", "", omega)]
-    rows += [(key, "", val) for key, val in terms.items()]
-    feasible = args.eps > floor and terms["pitch_bound"] > 0
-    rows.append(("feasible", "", int(feasible)))
+
+def cmd_params(args):
+    _require_finite(args, "tau", "eps", "omega", "eps_tilde_norm", "kappa")
+    obj = sysdsl.load(args.file)
+    network = isinstance(obj, sysdsl.NetworkSpec)
+    if network:
+        nodes = netcomp.synthesize_params(obj, seed=args.seed).nodes
+    elif args.tau is None:
+        raise StochabsError("single-system params needs --tau")
+    else:
+        nodes = [netcomp.synthesize_node(
+            obj, _certificate(obj, args), args.tau, args.eps, args.eps_tilde_norm,
+            omega_cap=args.omega, seed=args.seed,
+        )]
+    rows = [("quantity", "parameter", "value")]
+    for node in nodes:
+        rows += _node_rows(node)
     _emit_rows(rows, args.out, "params.csv")
-    if not feasible:
-        which = (
-            "precision target below its achievable floor"
-            if args.eps <= floor
-            else "pitch bound not positive (decay term exceeded by mismatch terms)"
-        )
-        print(f"infeasible: {which}", file=_sys.stderr)
-        return 1
-    return 0
+    return 0 if all(node.feasible for node in nodes) else _infeasible(nodes, named=network)
 
 
 def cmd_abstract(args):
+    _require_finite(args, "tau", "eta", "omega", "eps", "eps_tilde_norm", "kappa")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
         result = netcomp.synthesize_params(obj, seed=args.seed)
         if not result.feasible and not args.force:
-            return _infeasible(result)
+            return _infeasible(result.nodes)
         etas = result.etas()
         omegas = {i: node.omega for i, node in enumerate(result.nodes)}
         for i, name in enumerate(obj.node_names):
@@ -288,13 +273,13 @@ def cmd_bisim(args):
 
 def cmd_validate(args):
     _require_positive(args, "paths", "pairs", "steps")
+    _require_finite(args, "tau", "eps", "eps_tilde_norm", "kappa")
     model = _load(args.file, sysdsl.SysModel)
     cert = _certificate(model, args)
     tau = args.tau
     node = netcomp.synthesize_node(model, cert, tau, args.eps, args.eps_tilde_norm, seed=args.seed)
     if not node.feasible:
-        print(f"infeasible: {node.reason}", file=_sys.stderr)
-        return 1
+        return _infeasible([node], named=False)
     kit, eps, eta = node.kit, node.eps, node.eta
     abstraction = gridabs.build_abstraction(
         model, tau, eta, node.omega, eps=eps,
@@ -407,13 +392,11 @@ def build_parser():
     p = sub.add_parser("params", formatter_class=width,
                        help="compute quantization parameters (term ledger / network synthesis)")
     p.add_argument("file", help="system or network description file")
-    p.add_argument("--tau", type=float, help="sampling period (single-system mode)")
-    p.add_argument("--eps", type=float, help="precision target (single-system mode)")
-    p.add_argument("--omega", type=float, help="input pitch (default: input-box width)")
+    p.add_argument("--tau", type=float, help="sampling period (required for a system file)")
+    p.add_argument("--eps", type=float, help="precision (default: above the computed floor)")
+    p.add_argument("--omega", type=float, help="input pitch cap (default: input-box width)")
     p.add_argument("--eps-tilde-norm", type=float, default=0.0,
                    help="disturbance mismatch norm (default %(default)s)")
-    p.add_argument("--samples", type=int, default=2000,
-                   help="certificate sampling count (default %(default)s)")
     _add_common(p, out=True, cert=True)
     p.set_defaults(fn=cmd_params)
 

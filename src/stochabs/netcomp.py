@@ -28,7 +28,7 @@ from .certify import (
     search_input_pitch,
     verify_certificate,
 )
-from .errors import AbstractionError, ModelError
+from .errors import AbstractionError, CertificateError, ModelError, ParameterError
 from .gridabs import FiniteAbstraction, Lattice, _pack, snap_input_pitch, snap_state_pitch
 from .sysdsl import NetworkSpec
 
@@ -111,6 +111,7 @@ class NodeSynthesis:
     terms: dict = field(default_factory=dict)
     reason: str | None = None
     kit: BoundKit | None = None  # the gains derived from the verified certificate
+    mode: str | None = None  # how the certificate was checked: linear-exact or sampled
 
 
 @dataclass
@@ -127,15 +128,25 @@ def synthesize_node(
 ) -> NodeSynthesis:
     """Pick (eta, omega) for one system at precision eps (None: max(1.25 floor, diameter / 4)).
 
-    After the sampled certificate check and the floor test, the input pitch
-    is halved from the input-box width (capped by omega_cap) until the state
-    pitch bound clears ETA_FLOOR; the state pitch, capped by eps and eta_cap,
-    and the input pitch are then snapped to lattices that cover their boxes.
+    The certificate is proved in mode linear-exact when the drift is affine
+    and the diffusion linear, and otherwise sampled at VERIFY_SAMPLES points.
+    After the floor test, the input pitch is halved from the input-box width
+    (capped by omega_cap) until the state pitch bound clears ETA_FLOOR; the
+    state pitch, capped by eps and eta_cap, and the input pitch are then
+    snapped to lattices that cover their boxes.
     """
+    if eps_tilde_norm < 0:
+        raise ParameterError(f"disturbance mismatch norm must be nonnegative, got {eps_tilde_norm}")
+    if omega_cap is not None and omega_cap <= 0:
+        raise ParameterError(f"input pitch cap must be positive, got {omega_cap}")
     node = NodeSynthesis(sys.name, eps, psi_tau, eps_tilde_norm)
-    report = verify_certificate(sys, cert, mode="sampled", samples=VERIFY_SAMPLES, seed=seed)
+    try:
+        report = verify_certificate(sys, cert, mode="linear-exact", seed=seed)
+    except CertificateError:
+        report = verify_certificate(sys, cert, mode="sampled", samples=VERIFY_SAMPLES, seed=seed)
+    node.mode = report.mode
     if not report.accepted:
-        node.reason = f"certificate refuted by sampling (margin {report.margin:.3g})"
+        node.reason = f"certificate refuted ({report.mode}, margin {report.margin:.3g})"
         return node
     node.kit = kit = derive_bounds(sys, cert)
     node.eps_floor = floor = precision_lower_bound(

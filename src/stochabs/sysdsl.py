@@ -145,13 +145,15 @@ _KV_RE = re.compile(r"([A-Za-z]+)=([^\s\[]+|\[[^\]]*\])")
 _EDGE_RE = re.compile(r"(\S+)\s*->\s*(\S+)\s*$")
 
 
-def _parse_real(text, line, what):
+def _parse_real(text, line, what, positive=False):
     try:
         v = float(text)
     except ValueError:
         raise ParseError(f"bad {what}: {text!r}", line) from None
     if not math.isfinite(v):
         raise ParseError(f"{what} must be finite, got {text}", line)
+    if positive and v <= 0:
+        raise ParseError(f"{what} must be positive", line)
     return v
 
 
@@ -340,9 +342,7 @@ def parse_network(text: str, base_dir=".") -> NetworkSpec:
             kv = dict(_KV_RE.findall(line))
             if "tau" not in kv:
                 raise ParseError("expected: tau=<real>", lineno)
-            tau = _parse_real(kv["tau"], lineno, "tau")
-            if tau <= 0:
-                raise ParseError("tau must be positive", lineno)
+            tau = _parse_real(kv["tau"], lineno, "tau", positive=True)
         elif word == "node":
             parts = rest.split(None, 1)
             if len(parts) != 2:
@@ -361,9 +361,9 @@ def parse_network(text: str, base_dir=".") -> NetworkSpec:
             model = parse_system(node_text)
             node_names.append(node_name)
             nodes.append(model)
-            eps.append(_parse_real(kv["eps"], lineno, "eps"))
-            eta.append(_parse_real(kv["eta"], lineno, "eta") if "eta" in kv else None)
-            omega.append(_parse_real(kv["omega"], lineno, "omega") if "omega" in kv else None)
+            eps.append(_parse_real(kv["eps"], lineno, "eps", positive=True))
+            eta.append(_parse_real(kv["eta"], lineno, "eta", positive=True) if "eta" in kv else None)
+            omega.append(_parse_real(kv["omega"], lineno, "omega", positive=True) if "omega" in kv else None)
         elif word == "edge":
             m = _EDGE_RE.match(rest)
             if not m:

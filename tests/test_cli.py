@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import pathlib
 import re
@@ -20,6 +21,7 @@ def test_help_golden():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sub.choices["validate"].format_help() == (DATA / "help_validate.txt").read_text()
     assert sub.choices["abstract"].format_help() == (DATA / "help_abstract.txt").read_text()
+    assert sub.choices["params"].format_help() == (DATA / "help_params.txt").read_text()
 
 
 def test_help_documents_every_flag():
@@ -65,6 +67,26 @@ def test_params_infeasible_names_the_violation(capsys):
     rc = main(["params", SCALAR, "--tau", "0.5", "--eps", "3.2",
                "--omega", "0.1", "--eps-tilde-norm", "0.1"])
     assert rc == 0
+
+
+def test_params_system_ledger_is_the_synthesis(tmp_path, capsys, scalar_model, scalar_cert):
+    argv = ["params", SCALAR, "--tau", "0.5", "--eps", "3.2", "--omega", "0.05", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = list(csv.reader((tmp_path / "params.csv").open()))[1:]
+    values = {(q, p): v for q, p, v in rows}
+    node = netcomp.synthesize_node(scalar_model, scalar_cert, 0.5, 3.2, omega_cap=0.05, seed=1729)
+    assert values[("certificate", "scalar1")] == node.mode == "linear-exact"
+    assert float(values[("eta", "scalar1[0]")]) == pytest.approx(node.eta[0], rel=1e-9)
+    assert float(values[("omega", "scalar1[0]")]) == pytest.approx(node.omega[0], rel=1e-9)
+    # a network node's ledger has the same rows, keyed by the node's name
+    capsys.readouterr()
+    assert main(["params", PAIR]) == 0
+    net_rows = [line.split(",", 2) for line in capsys.readouterr().out.splitlines()][1:]
+    assert [q for q, _, _ in net_rows[: len(rows)]] == [q for q, _, _ in rows]
+    assert {p for _, p, _ in net_rows[: len(rows)]} == {p.replace("scalar1", "a") for _, p, _ in rows}
+    with pytest.raises(SystemExit) as excinfo:
+        main(["params", SCALAR, "--tau", "0.5", "--samples", "100"])
+    assert excinfo.value.code == 2
 
 
 def test_params_network(capsys):
@@ -136,7 +158,7 @@ def test_validate_below_the_floor_is_infeasible(tmp_path, capsys):
 def test_validate_refuted_certificate_is_infeasible(tmp_path, capsys):
     argv = ["validate", SCALAR, "--tau", "0.5", "--kappa", "0.9", "--P", "1", "--out", str(tmp_path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("infeasible: certificate refuted by sampling (margin")
+    assert capsys.readouterr().err.startswith("infeasible: certificate refuted (linear-exact, margin")
 
 
 def test_validate_builds_with_the_synthesized_pitches(tmp_path, monkeypatch):
@@ -295,9 +317,8 @@ def test_validate_nonpositive_count_is_usage_error(flags, tmp_path, capsys):
     [
         ["lint", SCALAR, "--samples", "0"],
         ["certify", SCALAR, "--mode", "sampled", "--samples", "-3"],
-        ["params", SCALAR, "--tau", "0.5", "--eps", "3.2", "--samples", "0"],
     ],
-    ids=["lint-zero", "certify-sampled-negative", "params-zero"],
+    ids=["lint-zero", "certify-sampled-negative"],
 )
 def test_nonpositive_samples_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -481,6 +502,46 @@ def test_nonpositive_tau_or_eta_is_usage_error(argv, tmp_path, capsys):
         argv = argv + ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", SCALAR, "--tau", "0.5", "--eps", "nan"],
+        ["params", SCALAR, "--tau", "0.5", "--omega", "nan"],
+        ["params", SCALAR, "--tau", "0.5", "--eps-tilde-norm", "nan"],
+        ["params", SCALAR, "--tau", "inf"],
+        ["validate", SCALAR, "--tau", "0.5", "--eps", "nan"],
+        ["validate", SCALAR, "--tau", "0.5", "--eps", "inf"],
+        ["validate", SCALAR, "--tau", "0.5", "--eps-tilde-norm", "nan"],
+        ["validate", SCALAR, "--tau", "nan"],
+        ["certify", SCALAR, "--tau", "nan"],
+        ["certify", SCALAR, "--kappa", "nan", "--P", "1"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--omega", "nan"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--eps", "nan"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--eps-tilde-norm", "nan"],
+        ["abstract", SCALAR, "--tau", "inf", "--eta", "0.25"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "inf"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != SCALAR),
+)
+def test_non_finite_real_flag_is_usage_error(argv, tmp_path, capsys):
+    if argv[0] in ("abstract", "validate"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    flag, value = next((a, b) for a, b in zip(argv, argv[1:]) if b in ("nan", "inf"))
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--omega", "0"], ["--omega", "-1"], ["--eps-tilde-norm", "-1"]],
+    ids=["omega-zero", "omega-negative", "eps-tilde-norm-negative"],
+)
+def test_params_out_of_range_cap_is_usage_error(flags, capsys):
+    assert main(["params", SCALAR, "--tau", "0.5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _with_byte_ff(src, dst):

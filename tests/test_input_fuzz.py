@@ -1,6 +1,6 @@
-"""Fuzzing of the .rel and .sys loaders: a mangled file is refused with a
-StochabsError or loads (a .rel file then re-saves to itself), and never
-raises anything else."""
+"""Fuzzing of the .rel, .sys and .net inputs: a mangled file is refused with
+a StochabsError or loads (a .rel file then re-saves to itself), and never
+raises anything else; `params` on a mangled network exits 0, 1 or 2."""
 
 from types import SimpleNamespace
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from stochabs import gridabs, sysdsl  # noqa: E402
 from stochabs.bisimcheck import largest_bisimulation, load_relation, save_relation  # noqa: E402
+from stochabs.cli import main  # noqa: E402
 from stochabs.errors import StochabsError  # noqa: E402
 from tests.conftest import DATA  # noqa: E402
 
@@ -93,3 +94,27 @@ def test_mangled_sys_is_refused_or_loads(data):
         sysdsl.parse_system(text)
     except StochabsError:
         pass
+
+
+NETS = {name: (DATA / name).read_text() for name in ("pair.net", "tri.net")}
+# node attributes at and past the edges of their ranges, and node files that are no system
+NET_JUNK = ["eps=0", "eps=-1", "eps=1e-9", "eta=0", "eta=-0.5", "omega=0", "omega=-1", "omega=1e-9",
+            "tau=0", "tau=-0.5", "file=pair.net", "file=missing.sys", "a", "b", "c", "1", "3", "->"]
+
+
+@pytest.fixture(scope="module")
+def net_dir(tmp_path_factory):
+    """A directory holding the node files that pair.net and tri.net name."""
+    path = tmp_path_factory.mktemp("net")
+    for name in ("node.sys", "head.sys", "sink2.sys", "pair.net"):
+        (path / name).write_text((DATA / name).read_text())
+    return path
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mangled_net_exits_cleanly(net_dir, data):
+    text = NETS[data.draw(st.sampled_from(sorted(NETS)))]
+    path = net_dir / "mangled.net"
+    path.write_text(_mangled(data.draw, text, sorted(set(text.split())) + JUNK + NET_JUNK))
+    assert main(["params", str(path)]) in (0, 1, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from stochabs import certify, gridabs, netcomp, sysdsl
 from stochabs.bisimcheck import vector_metric
-from stochabs.errors import ModelError
+from stochabs.errors import CertificateError, ModelError, ParameterError
 from tests.conftest import DATA, table
 
 
@@ -110,6 +110,33 @@ def test_synthesize_infeasible_low_eps(pair_net):
     assert not res.feasible
     assert not res.nodes[0].feasible and "floor" in res.nodes[0].reason
     assert res.nodes[1].feasible  # per-node reporting, all-or-nothing overall
+
+
+def test_synthesize_node_proves_when_it_can(scalar_model, scalar_cert):
+    # affine drift and linear diffusion: the certificate is proved
+    node = netcomp.synthesize_node(scalar_model, scalar_cert, 0.5, seed=3)
+    assert node.feasible and node.mode == "linear-exact"
+    weak = certify.QuadraticCertificate.create(
+        [[1.0]], 0.9, lu=scalar_model.input_lipschitz, lw=scalar_model.dist_lipschitz
+    )
+    node = netcomp.synthesize_node(scalar_model, weak, 0.5, seed=3)
+    assert not node.feasible and node.mode == "linear-exact"
+    assert node.reason == "certificate refuted (linear-exact, margin 0.05)"
+    # a tanh term makes the drift non-affine: the check falls back to sampling
+    tanh_model = sysdsl.parse_system(
+        (DATA / "scalar.sys").read_text().replace("-x1 + u1", "-x1 - 0.1*tanh(x1) + u1")
+    )
+    cert = certify.QuadraticCertificate.from_model(tanh_model)
+    with pytest.raises(CertificateError):
+        certify.verify_certificate(tanh_model, cert, mode="linear-exact")
+    node = netcomp.synthesize_node(tanh_model, cert, 0.5, seed=3)
+    assert node.feasible and node.mode == "sampled"
+
+
+@pytest.mark.parametrize("kwargs", [{"eps_tilde_norm": -0.1}, {"omega_cap": 0.0}, {"omega_cap": -1.0}])
+def test_synthesize_node_rejects_out_of_range_arguments(scalar_model, scalar_cert, kwargs):
+    with pytest.raises(ParameterError):
+        netcomp.synthesize_node(scalar_model, scalar_cert, 0.5, 3.2, **kwargs)
 
 
 def test_compose_full_network(pair_net):

@@ -108,6 +108,16 @@ def test_network_compatibility():
         parse_network(text, base_dir=DATA)
 
 
+@pytest.mark.parametrize(
+    "attrs",
+    ["eps=0", "eps=-1", "eps=8 eta=0", "eps=8 eta=-0.5", "eps=8 omega=0", "eps=8 omega=-1"],
+)
+def test_network_node_values_must_be_positive(attrs):
+    text = (DATA / "pair.net").read_text().replace("node b file=node.sys eps=8", f"node b file=node.sys {attrs}")
+    with pytest.raises(ParseError, match=r"line 5: \w+ must be positive"):
+        parse_network(text, base_dir=DATA)
+
+
 def test_equilibrium_check(scalar_model):
     check_equilibrium(scalar_model)
     shifted = SCALAR_TEXT.replace("drift x1' = -x1 + u1 + w1", "drift x1' = -x1 + u1 + w1 + 1")
