@@ -11,30 +11,32 @@ side.  Set-valued successor matching is the standard alternating
 extension; it degenerates to the pointwise condition for singleton
 successor sets.
 
-Self-bisimulation (both sides equal by value, ``s1 == s2``, as when the
-CLI reads one file twice) takes a symmetric path.  Then the eps-close
-candidates are symmetric and so is every round's removal set, and on a
-symmetric relation clause (c) at (i, j) is clause (b) at (j, i).  So
-largest_bisimulation evaluates (b) once per ordered pair and removes
-each failing pair with its mirror, and check_relation, given a
-symmetric relation, reads (c) of (i, j) from a memo of (b) at (j, i).
-Both give exactly the general path's relation, rounds and first failing
-pair and clause.  Distinct sides, or an asymmetric relation to check,
-take the general path, which evaluates (b) and then (c) per pair.
+When both sides are one abstraction by value (``s1 == s2``, as when
+the CLI reads one file twice), both procedures run on arrays.  The
+relation is an (n, n) bool matrix; the eps-close candidates are built
+axis by axis, and each round gathers the relation at every pair of
+successors of a block of related rows at once, then removes every
+failing pair (Jacobi rounds, as in the loops).  The greatest fixpoint
+does not depend on removal order, so the result is the loops'.
+Distinct sides still take the loops over Python sets (_responds, _table):
+the same kernel serves them, but moving them waits for a benchmark that
+measures peak memory correctly over several fast rounds.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FormatError, ModelError, ParameterError
-from .gridabs import FiniteAbstraction, _g17
+from .gridabs import FiniteAbstraction, _check_precisions, _g17
 from .sysdsl import read_text
 
 _TOL = 1e-12
+#: Rows of the relation matrix whose pairs one array step examines.
+ROW_BLOCK = 256
 
 
 def vector_metric(w1, w2, blocks) -> tuple:
@@ -73,12 +75,6 @@ class CheckResult:
     valid: bool
     pair: tuple | None = None
     clause: str | None = None  # 'a', 'b' or 'c'
-
-
-def _check_precisions(eps, eps_tilde, error):
-    """Require eps and every eps_tilde component to be finite and nonnegative."""
-    if not all(0.0 <= v < math.inf for v in (eps, *eps_tilde)):
-        raise error(f"precisions must be finite and nonnegative, got eps {eps}, eps_tilde {eps_tilde}")
 
 
 def _state_dist(s1, s2, i, j):
@@ -145,8 +141,74 @@ def _responds(challenger, responder, x_c, x_r, pairs, adm, flip):
     return True
 
 
+def _index_arrays(pairs):
+    """The first and the second indices of a list of pairs, as two arrays."""
+    return np.array(pairs, np.intp).reshape(-1, 2).T
+
+
+def _padded(R):
+    """R inside a copy with one more row and column.  The extra row is
+    True, so an absent challenger successor (-1) holds vacuously; the
+    extra column is False, so an absent responder successor matches
+    nothing.  A -1 in a successor array then indexes the pad directly."""
+    n1, n2 = R.shape
+    Rx = np.zeros((n1 + 1, n2 + 1), bool)
+    Rx[:n1, :n2] = R
+    Rx[n1] = True
+    return Rx
+
+
+def _answers(Rx, succ_c, succ_r, I, J, adm):
+    """Clause (b) at each pair (I[p], J[p]) against the padded relation Rx.
+
+    For every challenger input some responder input answers every
+    admissible disturbance pair (adm: challenger and responder index
+    arrays), each challenger successor by a related responder successor.
+    """
+    c = succ_c[I][:, :, adm[0]]  # (pairs, challenger inputs, pairs of adm, k)
+    r = succ_r[J][:, :, adm[1]]  # (pairs, responder inputs, pairs of adm, k)
+    hit = Rx[c[:, :, None, :, :, None], r[:, None, :, :, None, :]]
+    return hit.any(axis=5).all(axis=(3, 4)).any(axis=2).all(axis=1)
+
+
+def _self_candidates(s, eps):
+    """The (n, n) bool matrix of eps-close state pairs, built axis by axis
+    and ROW_BLOCK rows at a time."""
+    x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
+    C = np.ones((len(x), len(x)), bool)
+    for a in range(0, len(x), ROW_BLOCK):
+        for axis in range(s.dim):
+            C[a : a + ROW_BLOCK] &= np.abs(x[a : a + ROW_BLOCK, axis, None] - x[None, :, axis]) <= eps + _TOL
+    return C
+
+
+def _self_failures(s, R, eps, adm):
+    """Per block of ROW_BLOCK rows of R, in sorted order: the related pairs
+    (I, J) and the first clause each fails against R (0 none, 1 to 3 for
+    'a' to 'c')."""
+    x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
+    Rx, Rt = _padded(R), _padded(R.T)
+    tests = (
+        lambda I, J: (np.abs(x[I] - x[J]) <= eps + _TOL).all(axis=1),
+        lambda I, J: _answers(Rx, s.succ, s.succ, I, J, adm),
+        lambda I, J: _answers(Rt, s.succ, s.succ, J, I, adm[::-1]),
+    )
+    for a in range(0, len(R), ROW_BLOCK):
+        I, J = np.nonzero(R[a : a + ROW_BLOCK])
+        I += a
+        first = np.zeros(I.size, np.int8)
+        for clause, holds in enumerate(tests, 1):
+            todo = np.flatnonzero(first == 0)
+            first[todo[~holds(I[todo], J[todo])]] = clause
+        yield I, J, first
+
+
 def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTable) -> CheckResult:
-    """Verify that rel is a disturbance bisimulation between s1 and s2."""
+    """Verify that rel is a disturbance bisimulation between s1 and s2.
+
+    An invalid result names the smallest failing pair and the first clause
+    it fails.
+    """
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     n1, n2 = len(s1.states), len(s2.states)
@@ -154,27 +216,23 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
     if outside:
         raise FormatError(f"relation pair {min(outside)} is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
+    if s1 == s2:
+        R = np.zeros((n1, n1), bool)
+        R[tuple(_index_arrays(list(rel.pairs)))] = True
+        for I, J, first in _self_failures(s1, R, rel.eps, _index_arrays(adm)):
+            bad = np.flatnonzero(first)
+            if bad.size:
+                p = bad[0]
+                return CheckResult(valid=False, pair=(int(I[p]), int(J[p])), clause="abc"[first[p] - 1])
+        return CheckResult(valid=True)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     t1, t2 = _table(s1), _table(s2)
-
-    def clause_b(i, j):
-        return _responds(t1, t2, i, j, rel.pairs, adm, flip=False)
-
-    def clause_c(i, j):
-        return _responds(t2, t1, j, i, rel.pairs, adm_flip, flip=True)
-
-    if s1 == s2 and all((j, i) in rel.pairs for (i, j) in rel.pairs):
-        clause_b = functools.cache(clause_b)
-
-        def clause_c(i, j):
-            return clause_b(j, i)
-
     for (i, j) in sorted(rel.pairs):
         if _state_dist(s1, s2, i, j) > rel.eps + _TOL:
             return CheckResult(valid=False, pair=(i, j), clause="a")
-        if not clause_b(i, j):
+        if not _responds(t1, t2, i, j, rel.pairs, adm, flip=False):
             return CheckResult(valid=False, pair=(i, j), clause="b")
-        if not clause_c(i, j):
+        if not _responds(t2, t1, j, i, rel.pairs, adm_flip, flip=True):
             return CheckResult(valid=False, pair=(i, j), clause="c")
     return CheckResult(valid=True)
 
@@ -196,7 +254,15 @@ def largest_bisimulation(
     _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
     if s1 == s2:
-        return _largest_self_bisimulation(s1, eps, eps_tilde, adm)
+        adm, R = _index_arrays(adm), _self_candidates(s1, eps)
+        while True:
+            bad = [(I[f > 0], J[f > 0]) for I, J, f in _self_failures(s1, R, eps, adm)]
+            if not any(I.size for I, _ in bad):
+                break
+            for I, J in bad:
+                R[I, J] = False
+        I, J = np.nonzero(R)
+        return RelationTable(pairs=frozenset(zip(I.tolist(), J.tolist())), eps=eps, eps_tilde=eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     t1, t2 = _table(s1), _table(s2)
     current = {
@@ -215,32 +281,6 @@ def largest_bisimulation(
         if not bad:
             break
         current.difference_update(bad)
-    return RelationTable(pairs=frozenset(current), eps=eps, eps_tilde=eps_tilde)
-
-
-def _largest_self_bisimulation(s, eps, eps_tilde, adm) -> RelationTable:
-    """largest_bisimulation(s, s): the same rounds at one (b) call per pair.
-
-    The candidates are symmetric, and if the relation is symmetric at the
-    start of a round, the general round removes {p : (b) fails at p or at
-    its mirror}, which is symmetric again.  So each round evaluates (b)
-    once per ordered pair and removes the failing pairs with their mirrors.
-    """
-    n, t = len(s.states), _table(s)
-    current = set()
-    for i in range(n):
-        for j in range(i, n):
-            if _state_dist(s, s, i, j) <= eps + _TOL:
-                current.add((i, j))
-                current.add((j, i))
-    while True:
-        bad = [
-            (i, j) for (i, j) in current if not _responds(t, t, i, j, current, adm, flip=False)
-        ]
-        if not bad:
-            break
-        current.difference_update(bad)
-        current.difference_update((j, i) for (i, j) in bad)
     return RelationTable(pairs=frozenset(current), eps=eps, eps_tilde=eps_tilde)
 
 

@@ -495,6 +495,11 @@ def _parse_body(lines) -> FiniteAbstraction:
     eta = tuple(map(float, toks[i_eta + 1 : i_om]))
     omega = tuple(map(float, [] if omega_toks == ["-"] else omega_toks))
     eps_tilde = tuple(map(float, lines[pos + 1].split()[1:]))
+    tau, eps = float(toks[1]), float(toks[i_eps + 1])
+    header = {"tau": (tau,), "eta": eta, "omega": omega, "eps": (eps,), "epstilde": eps_tilde}
+    for label, values in header.items():
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{label} is not finite")
     blocks = [t.rsplit(":", 1) for t in lines[pos + 2].split()[1:]]
     sections, pos = [], pos + 3
     widths = (len(eta), len(omega), sum(int(b) for b, _ in blocks))
@@ -504,15 +509,17 @@ def _parse_body(lines) -> FiniteAbstraction:
         for i, coords in enumerate(items):
             if len(coords) != width:
                 raise ValueError(f"{label} {i} has {len(coords)} coordinates, expected {width}")
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"{label} {i} has a coordinate that is not finite")
         sections.append(items)
         pos += count + 1
     succ, ood = _parse_table(lines[pos + 1 : -1], tuple(map(len, sections)))
     a = FiniteAbstraction(
         system=system,
-        tau=float(toks[1]),
+        tau=tau,
         eta=eta,
         omega=omega,
-        eps=float(toks[i_eps + 1]),
+        eps=eps,
         eps_tilde=eps_tilde,
         states=sections[0],
         inputs=sections[1],
@@ -638,6 +645,12 @@ def _flow_chunk(payload, bounds):
     return res.endpoint, res.escaped
 
 
+def _check_precisions(eps, eps_tilde, error):
+    """Require eps and every eps_tilde component to be finite and nonnegative."""
+    if not all(0.0 <= v < math.inf for v in (eps, *eps_tilde)):
+        raise error(f"precisions must be finite and nonnegative, got eps {eps}, eps_tilde {eps_tilde}")
+
+
 def _flow_chunk_worker(bounds):
     return _flow_chunk(_WORKER_CTX["payload"], bounds)
 
@@ -669,6 +682,7 @@ def build_abstraction(
     """
     if not tau > 0:
         raise ParameterError(f"sampling period tau must be positive, got {tau}")
+    _check_precisions(eps, tuple(eps_tilde), ParameterError)
     check_equilibrium(sys)
     grid = Lattice.create(sys.domain, eta)
     if min(grid.pitch) <= 0.0:

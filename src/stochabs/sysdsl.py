@@ -145,6 +145,16 @@ _KV_RE = re.compile(r"([A-Za-z]+)=([^\s\[]+|\[[^\]]*\])")
 _EDGE_RE = re.compile(r"(\S+)\s*->\s*(\S+)\s*$")
 
 
+def _key_values(text, line):
+    """The key=value pairs of text as a dict; a key given twice is an error."""
+    kv = {}
+    for key, value in _KV_RE.findall(text):
+        if key in kv:
+            raise ParseError(f"{key}= is given twice", line)
+        kv[key] = value
+    return kv
+
+
 def _parse_real(text, line, what, positive=False):
     try:
         v = float(text)
@@ -249,7 +259,7 @@ def parse_system(text: str) -> SysModel:
                     )
             diffusion[(i, k)] = e
         elif word == "const":
-            consts = dict(_KV_RE.findall(rest))
+            consts = _key_values(rest, lineno)
             for key in ("Lf", "Lsigma", "K"):
                 if key not in consts:
                     raise ParseError(f"const line missing {key}", lineno)
@@ -259,7 +269,7 @@ def parse_system(text: str) -> SysModel:
             if consts["Lf"] < 0 or consts["Lsigma"] < 0:
                 raise ParseError("Lipschitz constants must be nonnegative", lineno)
         elif word == "cert":
-            kv = dict(_KV_RE.findall(rest))
+            kv = _key_values(rest, lineno)
             if "kappa" not in kv or "P" not in kv:
                 raise ParseError("cert line needs kappa=<real> and P=[..]", lineno)
             cert_kappa = _parse_real(kv["kappa"], lineno, "kappa")
@@ -339,7 +349,7 @@ def parse_network(text: str, base_dir=".") -> NetworkSpec:
         if word == "network":
             name = rest or "network"
         elif word.startswith("tau"):
-            kv = dict(_KV_RE.findall(line))
+            kv = _key_values(line, lineno)
             if "tau" not in kv:
                 raise ParseError("expected: tau=<real>", lineno)
             tau = _parse_real(kv["tau"], lineno, "tau", positive=True)
@@ -348,7 +358,7 @@ def parse_network(text: str, base_dir=".") -> NetworkSpec:
             if len(parts) != 2:
                 raise ParseError("expected: node <name> file=<path> eps=<real> ...", lineno)
             node_name, tail = parts
-            kv = dict(_KV_RE.findall(tail))
+            kv = _key_values(tail, lineno)
             if "file" not in kv or "eps" not in kv:
                 raise ParseError("node line needs file=<path> and eps=<real>", lineno)
             if node_name in node_names:

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from stochabs import bisimcheck, gridabs
+from stochabs import bisimcheck, gridabs, netcomp
 from stochabs.bisimcheck import (
     RelationTable,
     check_relation,
@@ -14,6 +14,7 @@ from stochabs.bisimcheck import (
 )
 from stochabs.errors import FormatError, ModelError
 from stochabs.gridabs import FiniteAbstraction
+from stochabs.sysdsl import parse_system
 from tests.conftest import table
 
 
@@ -362,28 +363,94 @@ def test_self_check_relation_matches_sorted_oracle():
     assert symmetric_invalid >= 10 and asymmetric >= 10
 
 
-def test_self_bisimulation_makes_one_responds_call_per_pair_per_round(monkeypatch, scalar_model):
+def test_self_bisimulation_makes_no_responds_call(monkeypatch, scalar_model):
     rng = np.random.default_rng(99)
     instances = [_random_self_instance(rng) for _ in range(10)]
     instances.append((gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1), 0.6, (0.0,)))
-    calls = []
-    original = bisimcheck._responds
 
-    def counted(*args, **kwargs):
-        calls.append(args[2:4])  # the related pair (x_c, x_r)
-        return original(*args, **kwargs)
+    def refused(*args, **kwargs):
+        raise AssertionError("the self path called _responds")
 
-    monkeypatch.setattr(bisimcheck, "_responds", counted)
+    monkeypatch.setattr(bisimcheck, "_responds", refused)
     multi_round = 0
     for s, eps, et in instances:
         greatest, sizes = _oracle_greatest(s, s, eps, et)
-        calls.clear()
         rel = largest_bisimulation(s, s, eps, et)
         assert rel.pairs == greatest
-        assert len(calls) == sum(sizes)
-        multi_round += len(sizes) > 2
-        # checking the symmetric result evaluates (b) once per pair and reads (c) from it
-        calls.clear()
         assert check_relation(s, s, rel).valid
-        assert sorted(calls) == sorted(rel.pairs)
+        multi_round += len(sizes) > 2
     assert multi_round > 0
+
+
+PLANE_TEXT = """system plane
+dims n=2 m=1 p=1 r=1
+domain x1 in [-1, 1]
+domain x2 in [-0.4, 0.4]
+input u1 in [-0.2, 0.2]
+dist w1 in [-0.5, 0.5]
+drift x1' = -x1 + 0.2*tanh(x2) + u1
+drift x2' = -2*x2 + tanh(x1) - u1 + w1
+diff sigma[1][1] = 0.005*x1
+diff sigma[2][1] = 0.005*x2
+const Lf=3 Lsigma=0.005 K=4
+"""
+
+
+def _plane():
+    """A 2-D tanh system on a lattice of spacing 0.2 (55 states, 3 inputs,
+    3 disturbances).  0.2 is not a binary fraction, so some coordinate
+    gaps of one spacing exceed 0.2 by less than the tolerance."""
+    dists = ((-0.5,), (0.0,), (0.5,))
+    return gridabs.build_abstraction(parse_system(PLANE_TEXT), 0.5, 0.1, 0.1, dists=dists), 0.2
+
+
+def _composed_pair(pair_net):
+    """The composed pair.net abstraction: 9 states on a 2-D lattice of spacing 1."""
+    res = netcomp.synthesize_params(pair_net)
+    omegas = {i: node.omega for i, node in enumerate(res.nodes)}
+    parts = [netcomp.build_node_abstraction(pair_net, i, res.etas(), omegas) for i in range(2)]
+    return netcomp.compose_abstractions(pair_net, parts), 1.0
+
+
+def _multi_dim_cases(pair_net):
+    """(abstraction, eps, eps_tilde) on 2-D lattices with eps a whole number of spacings."""
+    plane, h = _plane()
+    pair, spacing = _composed_pair(pair_net)
+    return [(plane, h, (0.0,)), (plane, h, (0.5,)), (plane, 2 * h, (0.5,)), (pair, spacing, ())]
+
+
+def test_multi_dim_self_bisimulation_matches_oracles(pair_net):
+    rng = np.random.default_rng(8)
+    rounds, clauses = [], set()
+    for s, eps, et in _multi_dim_cases(pair_net):
+        greatest, sizes = _oracle_greatest(s, s, eps, et)
+        assert largest_bisimulation(s, s, eps, et).pairs == greatest
+        rounds.append(len(sizes))
+        n = len(s.states)
+        close = frozenset(
+            (i, j) for i in range(n) for j in range(n)
+            if max(abs(a - b) for a, b in zip(s.states[i], s.states[j])) <= eps + 1e-12
+        )
+        thinned = frozenset(p for p in close if rng.random() < 0.8)  # asymmetric
+        for pairs in (greatest, close, thinned, greatest | {(0, n - 1)}):
+            rel = RelationTable(pairs=pairs, eps=eps, eps_tilde=et)
+            mine = check_relation(s, s, rel)
+            assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s, s, rel)
+            clauses.add(mine.clause)
+    assert max(rounds) > 2 and clauses == {None, "a", "b", "c"}
+
+
+def test_row_block_size_does_not_change_results(monkeypatch, pair_net):
+    rng = np.random.default_rng(5)
+    cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(5))]
+    expected = []
+    for s, eps, et in cases:
+        rel = largest_bisimulation(s, s, eps, et)
+        half = RelationTable(pairs=frozenset(sorted(rel.pairs)[::2]), eps=eps, eps_tilde=et)
+        expected.append((rel, half, check_relation(s, s, rel), check_relation(s, s, half)))
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(bisimcheck, "ROW_BLOCK", rows)
+        for (s, eps, et), (rel, half, rel_check, half_check) in zip(cases, expected):
+            assert largest_bisimulation(s, s, eps, et).pairs == rel.pairs
+            assert check_relation(s, s, rel) == rel_check
+            assert check_relation(s, s, half) == half_check

@@ -367,9 +367,18 @@ def test_report_empty_dir(tmp_path, capsys):
         (r"^(3 0\.5)$", r"\1 0.5"),
         (r"^(inputs 1\n0) 0$", r"\1"),
         (r"^(dists 1\n0 0)$", r"\1 0"),
+        (r"^tau 0\.5 ", "tau nan "),
+        (r" eta 0\.25 ", " eta inf "),
+        (r" omega \S+ ", " omega -inf "),
+        (r" eps 0$", " eps inf"),
+        (r"^epstilde$", "epstilde nan"),
+        (r"^3 0\.5$", "3 nan"),
+        (r"^(inputs 1\n0) 0$", r"\1 inf"),
+        (r"^(dists 1\n0) 0$", r"\1 -inf"),
     ],
     ids=["tau-line-without-eta", "non-integer-count", "state-extra-coordinate",
-         "input-missing-coordinate", "dist-extra-coordinate"],
+         "input-missing-coordinate", "dist-extra-coordinate", "tau-nan", "eta-inf", "omega-inf",
+         "eps-inf", "epstilde-nan", "state-nan", "input-inf", "dist-inf"],
 )
 def test_bisim_malformed_abs_is_usage_error(pattern, repl, tmp_path, capsys):
     body = _scalar_abs_body(tmp_path)
@@ -542,6 +551,16 @@ def test_params_out_of_range_cap_is_usage_error(flags, capsys):
     assert main(["params", SCALAR, "--tau", "0.5", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--eps-tilde-norm", "-1"], ["--eps", "-2"]], ids=["eps-tilde-norm-negative", "eps-negative"]
+)
+def test_abstract_negative_precision_is_usage_error(flags, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: precisions must be finite and nonnegative, got eps ")
+    assert not list(out.glob("*.abs"))
 
 
 def _with_byte_ff(src, dst):

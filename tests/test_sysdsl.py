@@ -118,6 +118,28 @@ def test_network_node_values_must_be_positive(attrs):
         parse_network(text, base_dir=DATA)
 
 
+PAIR_TEXT = (DATA / "pair.net").read_text()
+
+
+def _parse_pair(text):
+    return parse_network(text, base_dir=DATA)
+
+
+@pytest.mark.parametrize(
+    "parse, text, old, new, where",
+    [
+        (parse_system, SCALAR_TEXT, "K=4", "K=4 Lf=0.001", "line 9: Lf"),
+        (parse_system, SCALAR_TEXT, "P=[1]", "P=[1] kappa=5", "line 10: kappa"),
+        (_parse_pair, PAIR_TEXT, "tau=0.5", "tau=0.5 tau=2", "line 3: tau"),
+        (_parse_pair, PAIR_TEXT, "node b file=node.sys eps=8", "node b file=node.sys eps=-1 eps=8", "line 5: eps"),
+    ],
+    ids=["sys-const", "sys-cert", "net-tau", "net-node"],
+)
+def test_repeated_key_is_parse_error(parse, text, old, new, where):
+    with pytest.raises(ParseError, match=rf"{where}= is given twice"):
+        parse(text.replace(old, new, 1))
+
+
 def test_equilibrium_check(scalar_model):
     check_equilibrium(scalar_model)
     shifted = SCALAR_TEXT.replace("drift x1' = -x1 + u1 + w1", "drift x1' = -x1 + u1 + w1 + 1")
