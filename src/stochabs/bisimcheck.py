@@ -11,6 +11,9 @@ side.  Set-valued successor matching is the standard alternating
 extension; it degenerates to the pointwise condition for singleton
 successor sets.
 
+A relation is two read-only index arrays of its pairs, ascending in
+row-major order: the order of ``np.nonzero`` and of relation files.
+
 When both sides are one abstraction by value (``s1 == s2``, as when
 the CLI reads one file twice), both procedures run on arrays.  The
 relation is an (n, n) bool matrix; the eps-close candidates are built
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +41,8 @@ from .sysdsl import read_text
 _TOL = 1e-12
 #: Rows of the relation matrix whose pairs one array step examines.
 ROW_BLOCK = 256
+#: Pair lines of a relation file formatted in one step.
+LINE_BLOCK = 1 << 16
 
 
 def vector_metric(w1, w2, blocks) -> tuple:
@@ -51,23 +57,29 @@ def vector_metric(w1, w2, blocks) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationTable:
-    """A candidate disturbance bisimulation with its parameters."""
+    """A candidate disturbance bisimulation: its pairs (first[p], second[p])
+    of indices in S1 and S2, row-major and each once, and its parameters."""
 
-    pairs: frozenset  # of (index in S1, index in S2)
+    first: np.ndarray
+    second: np.ndarray
     eps: float
     eps_tilde: tuple
 
-    def __len__(self):
-        return len(self.pairs)
+    def __post_init__(self):
+        for name in ("first", "second"):
+            view = np.asarray(getattr(self, name), np.intp).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
-    def transpose(self):
-        return RelationTable(
-            pairs=frozenset((j, i) for (i, j) in self.pairs),
-            eps=self.eps,
-            eps_tilde=self.eps_tilde,
-        )
+    def __len__(self):
+        return len(self.first)
+
+    @cached_property
+    def pairs(self) -> frozenset:
+        """The related pairs as a frozenset of (i, j) tuples, built on first use."""
+        return frozenset(zip(self.first.tolist(), self.second.tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,16 +96,12 @@ def _state_dist(s1, s2, i, j):
 
 def _admissible_dist_pairs(s1, s2, eps_tilde):
     if s1.dist_blocks != s2.dist_blocks:
-        raise ModelError(
-            f"incompatible disturbance structure: {s1.dist_blocks} vs {s2.dist_blocks}"
-        )
+        raise ModelError(f"incompatible disturbance structure: {s1.dist_blocks} vs {s2.dist_blocks}")
     blocks = s1.dist_blocks
     if len(eps_tilde) == 0:
         eps_tilde = (0.0,) * len(blocks)
     if len(eps_tilde) != len(blocks):
-        raise ModelError(
-            f"eps_tilde has {len(eps_tilde)} components, disturbances have {len(blocks)} blocks"
-        )
+        raise ModelError(f"eps_tilde has {len(eps_tilde)} components, disturbances have {len(blocks)} blocks")
     pairs = []
     for d1, w1 in enumerate(s1.dists):
         for d2, w2 in enumerate(s2.dists):
@@ -141,11 +149,6 @@ def _responds(challenger, responder, x_c, x_r, pairs, adm, flip):
     return True
 
 
-def _index_arrays(pairs):
-    """The first and the second indices of a list of pairs, as two arrays."""
-    return np.array(pairs, np.intp).reshape(-1, 2).T
-
-
 def _padded(R):
     """R inside a copy with one more row and column.  The extra row is
     True, so an absent challenger successor (-1) holds vacuously; the
@@ -185,8 +188,9 @@ def _self_candidates(s, eps):
 def _self_failures(s, R, eps, adm):
     """Per block of ROW_BLOCK rows of R, in sorted order: the related pairs
     (I, J) and the first clause each fails against R (0 none, 1 to 3 for
-    'a' to 'c')."""
+    'a' to 'c').  adm is the list of admissible disturbance pairs."""
     x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
+    adm = np.array(adm, np.intp).reshape(-1, 2).T
     Rx, Rt = _padded(R), _padded(R.T)
     tests = (
         lambda I, J: (np.abs(x[I] - x[J]) <= eps + _TOL).all(axis=1),
@@ -212,14 +216,15 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     n1, n2 = len(s1.states), len(s2.states)
-    outside = [(i, j) for (i, j) in rel.pairs if not (0 <= i < n1 and 0 <= j < n2)]
-    if outside:
-        raise FormatError(f"relation pair {min(outside)} is outside the {n1} x {n2} states")
+    outside = (rel.first < 0) | (rel.first >= n1) | (rel.second < 0) | (rel.second >= n2)
+    if outside.any():
+        p = outside.argmax()  # the first in the table's order, so the smallest
+        raise FormatError(f"relation pair ({rel.first[p]}, {rel.second[p]}) is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
     if s1 == s2:
         R = np.zeros((n1, n1), bool)
-        R[tuple(_index_arrays(list(rel.pairs)))] = True
-        for I, J, first in _self_failures(s1, R, rel.eps, _index_arrays(adm)):
+        R[rel.first, rel.second] = True
+        for I, J, first in _self_failures(s1, R, rel.eps, adm):
             bad = np.flatnonzero(first)
             if bad.size:
                 p = bad[0]
@@ -227,7 +232,7 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
         return CheckResult(valid=True)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     t1, t2 = _table(s1), _table(s2)
-    for (i, j) in sorted(rel.pairs):
+    for (i, j) in zip(rel.first.tolist(), rel.second.tolist()):
         if _state_dist(s1, s2, i, j) > rel.eps + _TOL:
             return CheckResult(valid=False, pair=(i, j), clause="a")
         if not _responds(t1, t2, i, j, rel.pairs, adm, flip=False):
@@ -254,15 +259,14 @@ def largest_bisimulation(
     _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
     if s1 == s2:
-        adm, R = _index_arrays(adm), _self_candidates(s1, eps)
+        R = _self_candidates(s1, eps)
         while True:
             bad = [(I[f > 0], J[f > 0]) for I, J, f in _self_failures(s1, R, eps, adm)]
             if not any(I.size for I, _ in bad):
                 break
             for I, J in bad:
                 R[I, J] = False
-        I, J = np.nonzero(R)
-        return RelationTable(pairs=frozenset(zip(I.tolist(), J.tolist())), eps=eps, eps_tilde=eps_tilde)
+        return RelationTable(*np.nonzero(R), eps, eps_tilde)
     adm_flip = [(d2, d1) for (d1, d2) in adm]
     t1, t2 = _table(s1), _table(s2)
     current = {
@@ -281,7 +285,7 @@ def largest_bisimulation(
         if not bad:
             break
         current.difference_update(bad)
-    return RelationTable(pairs=frozenset(current), eps=eps, eps_tilde=eps_tilde)
+    return RelationTable(*np.array(sorted(current), np.intp).reshape(-1, 2).T, eps, eps_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +294,48 @@ def largest_bisimulation(
 REL_HEADER = "STOCHREL v1"
 
 
-def _relation_lines(rel: RelationTable, left: str, right: str) -> list:
-    """The lines of the relation file of rel between abstractions with these hashes."""
+def _relation_text(rel: RelationTable, left: str, right: str) -> str:
+    """The relation file of rel between abstractions with these hashes, one
+    line "i j" per pair in the table's order, LINE_BLOCK lines at a time."""
     eps_tilde = "".join(" " + _g17(v) for v in rel.eps_tilde)
-    head = [f"left {left}", f"right {right}", f"eps {_g17(rel.eps)}", f"epstilde{eps_tilde}"]
-    return [REL_HEADER, *head, f"pairs {len(rel.pairs)}", *(f"{i} {j}" for (i, j) in sorted(rel.pairs))]
+    head = f"{REL_HEADER}\nleft {left}\nright {right}\neps {_g17(rel.eps)}\nepstilde{eps_tilde}\n"
+    text = [head + f"pairs {len(rel)}\n"]
+    for a in range(0, len(rel), LINE_BLOCK):
+        block = np.column_stack((rel.first[a : a + LINE_BLOCK], rel.second[a : a + LINE_BLOCK]))
+        text.append(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(text)
 
 
 def save_relation(rel: RelationTable, s1: FiniteAbstraction, s2: FiniteAbstraction, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(_relation_lines(rel, s1.content_hash(), s2.content_hash())) + "\n")
+        fh.write(_relation_text(rel, s1.content_hash(), s2.content_hash()))
 
 
 def load_relation(path):
     """Read a relation file; returns (table, left_hash, right_hash).
 
     Only the lines save_relation writes are accepted: each under its
-    label, numbers in canonical form, the pairs ascending and nothing
-    after them.
+    label, numbers in canonical form, the pairs ascending, every line
+    ending in a newline and nothing after the last pair.
     """
-    lines = read_text(path, FormatError).splitlines()
-    if not lines or lines[0] != REL_HEADER:
+    text = read_text(path, FormatError)
+    if text.split("\n", 1)[0] != REL_HEADER:
         raise FormatError(f"bad header (expected {REL_HEADER!r})")
     try:
-        (_, left), (_, right), (_, eps), (_, *eps_tilde), _ = (line.split(" ") for line in lines[1:6])
-        pairs = frozenset((int(i), int(j)) for i, j in (line.split(" ") for line in lines[6:]))
-        rel = RelationTable(pairs, float(eps), tuple(map(float, eps_tilde)))
-    except ValueError as exc:
+        _, *head, body = text.split("\n", 6)
+        (_, left), (_, right), (_, eps), (_, *eps_tilde), _ = (line.split(" ") for line in head)
+        # the pair lines' numbers (the last newline leaves one empty piece), sorted and each once
+        pairs = np.array(body.replace("\n", " ").split(" ")[:-1], np.int64).reshape(-1, 2)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        once = np.ones(len(pairs), bool)
+        once[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        rel = RelationTable(pairs[once, 0], pairs[once, 1], float(eps), tuple(map(float, eps_tilde)))
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"malformed relation file: {exc}") from None
     _check_precisions(rel.eps, rel.eps_tilde, FormatError)
-    for n, (got, want) in enumerate(itertools.zip_longest(lines, _relation_lines(rel, left, right)), 1):
-        if got != want:
-            raise FormatError(f"line {n} reads {got!r}, expected {want!r}")
+    expected = _relation_text(rel, left, right)
+    if text != expected:
+        for n, (got, want) in enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()), 1):
+            if got != want:
+                raise FormatError(f"line {n} reads {got!r}, expected {want!r}")
     return rel, left, right

@@ -191,14 +191,13 @@ def cmd_abstract(args):
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
         result = netcomp.synthesize_params(obj, seed=args.seed)
-        if not result.feasible and not args.force:
+        if not result.feasible:
             return _infeasible(result.nodes)
         etas = result.etas()
         omegas = {i: node.omega for i, node in enumerate(result.nodes)}
         for i, name in enumerate(obj.node_names):
             abs_i = netcomp.build_node_abstraction(
-                obj, i, etas, omegas, force=args.force,
-                max_cells=args.max_cells, workers=args.workers,
+                obj, i, etas, omegas, max_cells=args.max_cells, workers=args.workers
             )
             _write_abstraction(abs_i, out_dir / f"{name}.abs")
         return 0
@@ -268,7 +267,7 @@ def cmd_bisim(args):
         out_dir.mkdir(parents=True, exist_ok=True)
         bisimcheck.save_relation(rel, s1, s2, out_dir / "relation.rel")
         print(f"wrote {out_dir / 'relation.rel'}")
-    return 0 if rel.pairs else 1
+    return 0 if len(rel) else 1
 
 
 def cmd_validate(args):

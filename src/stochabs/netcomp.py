@@ -185,7 +185,7 @@ def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
         psi_tau = psi_bound(spec, i, spec.tau)
         try:
             cert = QuadraticCertificate.from_model(sys)
-        except Exception as exc:
+        except CertificateError as exc:
             node = NodeSynthesis(sys.name, spec.eps[i], psi_tau, etn, reason=str(exc))
         else:
             node = synthesize_node(
@@ -196,40 +196,23 @@ def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
 
 
 def build_node_abstraction(
-    spec: NetworkSpec,
-    i: int,
-    etas,
-    omegas,
-    force: bool = False,
-    max_cells: int = 250_000,
-    workers: int = 1,
+    spec: NetworkSpec, i: int, etas, omegas, max_cells: int = 250_000, workers: int = 1
 ) -> FiniteAbstraction:
-    """Build node i's abstraction with its neighbour-product disturbances."""
+    """Build node i's abstraction with its neighbour-product disturbances
+    (a synthesized pitch always passes its certificate's pitch check)."""
     from .gridabs import build_abstraction
 
     sys = spec.nodes[i]
     symbols, blocks, block_nodes = build_wtilde(spec, i, etas)
     etv = eps_tilde_vec(spec, i, etas=etas)
-    cert = None
     try:
         cert = QuadraticCertificate.from_model(sys)
-    except Exception:
-        pass
+    except CertificateError:
+        cert = None
     abs_i = build_abstraction(
-        sys,
-        spec.tau,
-        etas[i],
-        omegas[i] if sys.m else 0.0,
-        dists=symbols,
-        dist_blocks=blocks,
-        dist_block_nodes=block_nodes,
-        eps=spec.eps[i],
-        eps_tilde=tuple(etv),
-        cert=cert,
-        psi_tau=psi_bound(spec, i, spec.tau),
-        force=force,
-        max_cells=max_cells,
-        workers=workers,
+        sys, spec.tau, etas[i], omegas[i] if sys.m else 0.0, dists=symbols, dist_blocks=blocks,
+        dist_block_nodes=block_nodes, eps=spec.eps[i], eps_tilde=tuple(etv), cert=cert,
+        psi_tau=psi_bound(spec, i, spec.tau), max_cells=max_cells, workers=workers,
     )
     # Composition wires blocks by network node name, so label the part
     # with its node name rather than the underlying system name.

@@ -29,6 +29,12 @@ def toy(states, transitions, dists=((0.0,),), inputs=((0.0,),), eta=(0.25,)):
     )
 
 
+def relation(pairs, eps, eps_tilde):
+    """The RelationTable of a set of (i, j) pairs, ascending in row-major order."""
+    first, second = np.array(sorted(pairs), int).reshape(-1, 2).T
+    return RelationTable(first, second, eps, eps_tilde)
+
+
 def test_vector_metric_blocks():
     assert vector_metric((1.0, 2.0, 5.0), (0.5, 1.0, 7.0), (2, 1)) == (1.0, 2.0)
     assert vector_metric((), (), ()) == ()
@@ -36,14 +42,15 @@ def test_vector_metric_blocks():
 
 def test_self_bisimilar_identity(scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
-    identity = frozenset((i, i) for i in range(len(a.states)))
-    rel = RelationTable(pairs=identity, eps=0.0, eps_tilde=(0.0,))
+    n = len(a.states)
+    rel = RelationTable(np.arange(n), np.arange(n), eps=0.0, eps_tilde=(0.0,))
+    assert rel.pairs == frozenset((i, i) for i in range(n))
     assert check_relation(a, a, rel).valid
 
 
 def test_empty_relation_vacuously_valid(scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
-    rel = RelationTable(pairs=frozenset(), eps=0.0, eps_tilde=(0.0,))
+    rel = RelationTable([], [], eps=0.0, eps_tilde=(0.0,))
     assert check_relation(a, a, rel).valid
 
 
@@ -93,9 +100,7 @@ def _oracle_check(s1, s2, rel):
 def test_toy_self_loop_vs_cycle_matches_oracle():
     s1 = toy([(0.0,)], {(0, 0, 0): ((0,), False)})
     s2 = toy([(0.0,), (0.1,)], {(0, 0, 0): ((1,), False), (1, 0, 0): ((0,), False)})
-    total = RelationTable(
-        pairs=frozenset((0, j) for j in range(2)), eps=1.0, eps_tilde=(0.0,)
-    )
+    total = relation(frozenset((0, j) for j in range(2)), eps=1.0, eps_tilde=(0.0,))
     mine = check_relation(s1, s2, total)
     oracle_valid, _, _ = _oracle_check(s1, s2, total)
     assert mine.valid == oracle_valid
@@ -129,7 +134,7 @@ def test_random_instances_match_oracle():
             for j in range(n2)
             if abs(s1.states[i][0] - s2.states[j][0]) <= eps and rng.random() < 0.8
         )
-        rel = RelationTable(pairs=pairs, eps=eps, eps_tilde=et)
+        rel = relation(pairs, eps=eps, eps_tilde=et)
         mine = check_relation(s1, s2, rel)
         oracle_valid, _, _ = _oracle_check(s1, s2, rel)
         assert mine.valid == oracle_valid
@@ -173,7 +178,10 @@ def test_transpose_symmetry(scalar_model, scalar_det_model):
     b = gridabs.build_abstraction(scalar_model, 0.5, 0.125, 0.1)
     fwd = largest_bisimulation(a, b, 0.6, (0.0,))
     bwd = largest_bisimulation(b, a, 0.6, (0.0,))
-    assert bwd.pairs == fwd.transpose().pairs
+    assert bwd.pairs == frozenset((j, i) for (i, j) in fwd.pairs)
+    # the same relation as index arrays: the transposed pairs, re-sorted row-major
+    order = np.lexsort((fwd.first, fwd.second))
+    assert np.array_equal(bwd.first, fwd.second[order]) and np.array_equal(bwd.second, fwd.first[order])
 
 
 def test_refined_grid_relation(scalar_det_model):
@@ -198,7 +206,16 @@ def test_incompatible_disturbances(scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
     other = toy([(0.0,)], {(0, 0, 0): ((0,), False)}, dists=((0.0, 0.0),))
     with pytest.raises(ModelError, match="disturbance"):
-        check_relation(a, other, RelationTable(frozenset(), 0.0, ()))
+        check_relation(a, other, RelationTable([], [], 0.0, ()))
+
+
+@pytest.mark.parametrize("first, second", [([-1, 0], [0, 4]), ([0, 5], [4, 0]), ([0, 0], [-3, 5])])
+def test_pairs_outside_the_states_are_refused(first, second, scalar_model):
+    a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    rel = RelationTable(first, second, 0.5, (0.0,))
+    p = next(p for p in range(2) if not (0 <= first[p] < 5 and 0 <= second[p] < 5))
+    with pytest.raises(FormatError, match=rf"pair \({first[p]}, {second[p]}\) is outside the 5 x 5 states"):
+        check_relation(a, a, rel)
 
 
 def test_relation_file_roundtrip(tmp_path, scalar_model):
@@ -210,6 +227,20 @@ def test_relation_file_roundtrip(tmp_path, scalar_model):
     assert loaded.pairs == rel.pairs
     assert loaded.eps == rel.eps and loaded.eps_tilde == rel.eps_tilde
     assert lh == rh == a.content_hash()
+
+
+def test_relation_arrays_are_read_only_and_sorted(scalar_model):
+    a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    rel = largest_bisimulation(a, a, 0.5, (0.0,))
+    assert len(rel) == len(rel.pairs) > len(a.states)
+    assert list(zip(rel.first.tolist(), rel.second.tolist())) == sorted(rel.pairs)
+    for side in (rel.first, rel.second):
+        with pytest.raises(ValueError):
+            side[0] = 0
+    # a table's arrays are views: the caller's arrays stay writable
+    first = np.array([0, 1])
+    RelationTable(first, first, 0.0, ())
+    first[0] = 1
 
 
 @pytest.mark.parametrize(
@@ -353,12 +384,12 @@ def test_self_check_relation_matches_sorted_oracle():
         asym = frozenset((i, j) for i in range(n) for j in range(n) if rng.random() < 0.6)
         greatest = largest_bisimulation(s, s, eps, et).pairs
         for pairs in (sym, asym, greatest):
-            rel = RelationTable(pairs=pairs, eps=eps, eps_tilde=et)
+            rel = relation(pairs, eps=eps, eps_tilde=et)
             oracle = _sorted_oracle_check(s, s, rel)
             for other in (s, copy.deepcopy(s)):
                 mine = check_relation(s, other, rel)
                 assert (mine.valid, mine.pair, mine.clause) == oracle
-        symmetric_invalid += not _sorted_oracle_check(s, s, RelationTable(sym, eps, et))[0]
+        symmetric_invalid += not _sorted_oracle_check(s, s, relation(sym, eps, et))[0]
         asymmetric += asym != frozenset((j, i) for (i, j) in asym)
     assert symmetric_invalid >= 10 and asymmetric >= 10
 
@@ -433,11 +464,29 @@ def test_multi_dim_self_bisimulation_matches_oracles(pair_net):
         )
         thinned = frozenset(p for p in close if rng.random() < 0.8)  # asymmetric
         for pairs in (greatest, close, thinned, greatest | {(0, n - 1)}):
-            rel = RelationTable(pairs=pairs, eps=eps, eps_tilde=et)
+            rel = relation(pairs, eps=eps, eps_tilde=et)
             mine = check_relation(s, s, rel)
             assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s, s, rel)
             clauses.add(mine.clause)
     assert max(rounds) > 2 and clauses == {None, "a", "b", "c"}
+
+
+def test_self_path_never_builds_pairs(monkeypatch, tmp_path, pair_net):
+    rng = np.random.default_rng(3)
+    cases = [*_multi_dim_cases(pair_net), _random_self_instance(rng)]
+    expected = [largest_bisimulation(s, s, eps, et).pairs for s, eps, et in cases]
+
+    def refused(self):
+        raise AssertionError("the self path built the frozenset of pairs")
+
+    monkeypatch.setattr(RelationTable, "pairs", property(refused))
+    for (s, eps, et), pairs in zip(cases, expected):
+        rel = largest_bisimulation(s, s, eps, et)
+        path = tmp_path / "r.rel"
+        save_relation(rel, s, s, path)
+        loaded, _, _ = load_relation(path)
+        assert check_relation(s, s, loaded).valid and len(loaded) == len(pairs)
+        assert set(zip(loaded.first.tolist(), loaded.second.tolist())) == pairs
 
 
 def test_row_block_size_does_not_change_results(monkeypatch, pair_net):
@@ -446,7 +495,7 @@ def test_row_block_size_does_not_change_results(monkeypatch, pair_net):
     expected = []
     for s, eps, et in cases:
         rel = largest_bisimulation(s, s, eps, et)
-        half = RelationTable(pairs=frozenset(sorted(rel.pairs)[::2]), eps=eps, eps_tilde=et)
+        half = RelationTable(rel.first[::2], rel.second[::2], eps=eps, eps_tilde=et)
         expected.append((rel, half, check_relation(s, s, rel), check_relation(s, s, half)))
     for rows in (1, 2, 7):
         monkeypatch.setattr(bisimcheck, "ROW_BLOCK", rows)

@@ -462,6 +462,57 @@ def test_bisim_check_rejects_relation_pair_out_of_range(tmp_path, capsys):
     assert "relation pair (99999, 0) is outside the 5 x 5 states" in capsys.readouterr().err
 
 
+# sha256 of relation.rel and of the stdout of `bisim --out` (the output
+# directory written as OUT) and `bisim --check`, on abstractions of
+# scalar.sys at tau 0.5, omega 0.1 and these pitches, from the code that
+# held a relation as a frozenset of pairs
+BISIM_PINS = {
+    # one abstraction on both sides: the array path
+    "self": ((0.25, 0.25), ["--eps", "0.5"], {
+        "relation.rel": "1835ef8c5ae78f9fdc9717e7f96c4c45d977099746fb7408cd32c28b79ebd29e",
+        "bisim": "7e6ca23e4fff379e82f2ffe7f090970e11697a9131e8e7ff73284e5de87a3d31",
+        "check": "b3ef2b5e3d46dc9efe415f4905e50189db99eb2f7d22843ab652f8da7e50fa37",
+    }),
+    # eta 0.25 against eta 0.125: the loops
+    "distinct": ((0.25, 0.125), ["--eps", "0.6", "--eps-tilde", "0"], {
+        "relation.rel": "8cf160d8043377986f1590bfcfccfb904c7ce62e21a10bca9f6df736706ac235",
+        "bisim": "0082a3c62fe6f493dbb38a45dd25c9ef42d149b8bfc1916cef11c662ab511482",
+        "check": "e86ebf7f55b69851f86bd13fd990adccfbddc8f3f5e8f03aead68eda2ce610fb",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(BISIM_PINS))
+def test_bisim_outputs_are_pinned(case, tmp_path, capsys):
+    etas, flags, pins = BISIM_PINS[case]
+    files = []
+    for eta in etas:
+        out = tmp_path / f"eta{eta}"
+        assert main(["abstract", SCALAR, "--tau", "0.5", "--eta", str(eta), "--omega", "0.1",
+                     "--out", str(out)]) == 0
+        files.append(str(out / "scalar1.abs"))
+    capsys.readouterr()
+    rel = tmp_path / "bisim" / "relation.rel"
+    assert main(["bisim", *files, *flags, "--out", str(rel.parent)]) == 0
+    computed = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+    assert main(["bisim", *files, "--check", str(rel)]) == 0
+    outputs = {"relation.rel": rel.read_bytes(), "bisim": computed.encode(),
+               "check": capsys.readouterr().out.encode()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == pins
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_network_abstract_with_infeasible_node_exits_1(force, tmp_path, capsys):
+    (tmp_path / "node.sys").write_text((DATA / "node.sys").read_text())
+    net = tmp_path / "pair.net"
+    net.write_text((DATA / "pair.net").read_text().replace("node a file=node.sys eps=8",
+                                                           "node a file=node.sys eps=0.5"))
+    assert main(["abstract", str(net), *force, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "infeasible: a: " in err and "infeasible: b" not in err
+    assert not list((tmp_path / "out").glob("*.abs"))
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--eps", "nan"], ["--eps", "-0.1"], ["--eps", "0.3", "--eps-tilde", "nan"],

@@ -112,6 +112,20 @@ def test_synthesize_infeasible_low_eps(pair_net):
     assert res.nodes[1].feasible  # per-node reporting, all-or-nothing overall
 
 
+def test_certificate_lookup_lets_other_errors_through(pair_net, monkeypatch):
+    res = netcomp.synthesize_params(pair_net)
+    omegas = {i: node.omega for i, node in enumerate(res.nodes)}
+
+    def broken(cls, sys):
+        raise RuntimeError("not a missing certificate")
+
+    monkeypatch.setattr(certify.QuadraticCertificate, "from_model", classmethod(broken))
+    with pytest.raises(RuntimeError, match="not a missing certificate"):
+        netcomp.synthesize_params(pair_net)
+    with pytest.raises(RuntimeError, match="not a missing certificate"):
+        netcomp.build_node_abstraction(pair_net, 0, res.etas(), omegas)
+
+
 def test_synthesize_node_proves_when_it_can(scalar_model, scalar_cert):
     # affine drift and linear diffusion: the certificate is proved
     node = netcomp.synthesize_node(scalar_model, scalar_cert, 0.5, seed=3)
