@@ -17,10 +17,12 @@ row-major order: the order of ``np.nonzero`` and of relation files.
 When both sides are one abstraction by value (``s1 == s2``, as when
 the CLI reads one file twice), both procedures run on arrays.  The
 relation is an (n, n) bool matrix; the eps-close candidates are built
-axis by axis, and each round gathers the relation at every pair of
-successors of a block of related rows at once, then removes every
-failing pair (Jacobi rounds, as in the loops).  The greatest fixpoint
-does not depend on removal order, so the result is the loops'.
+axis by axis.  Each round takes the related pairs from one np.nonzero
+and walks them in row-major slices of at most STEP_LOOKUPS relation
+lookups, gathering the relation at every pair of successors of a slice
+at once, then removes every failing pair (Jacobi rounds, as in the
+loops).  The greatest fixpoint does not depend on removal order, so
+the result is the loops'.
 Distinct sides still take the loops over Python sets (_responds, _table):
 the same kernel serves them, but moving them waits for a benchmark that
 measures peak memory correctly over several fast rounds.
@@ -29,6 +31,7 @@ measures peak memory correctly over several fast rounds.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,8 +42,10 @@ from .gridabs import FiniteAbstraction, _check_precisions, _g17
 from .sysdsl import read_text
 
 _TOL = 1e-12
-#: Rows of the relation matrix whose pairs one array step examines.
-ROW_BLOCK = 256
+#: Most relation lookups (pairs x inputs^2 x admissible disturbance pairs
+#: x k^2, a byte each) one array step of the self-bisimulation makes: bounds
+#: its working arrays whatever the relation's density.
+STEP_LOOKUPS = 1 << 18
 #: Pair lines of a relation file formatted in one step.
 LINE_BLOCK = 1 << 16
 
@@ -176,19 +181,22 @@ def _answers(Rx, succ_c, succ_r, I, J, adm):
 
 def _self_candidates(s, eps):
     """The (n, n) bool matrix of eps-close state pairs, built axis by axis
-    and ROW_BLOCK rows at a time."""
+    in row blocks of at most STEP_LOOKUPS bytes of float differences."""
     x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
     C = np.ones((len(x), len(x)), bool)
-    for a in range(0, len(x), ROW_BLOCK):
+    rows = max(1, STEP_LOOKUPS // (8 * len(x) or 1))
+    for a in range(0, len(x), rows):
         for axis in range(s.dim):
-            C[a : a + ROW_BLOCK] &= np.abs(x[a : a + ROW_BLOCK, axis, None] - x[None, :, axis]) <= eps + _TOL
+            d = x[a : a + rows, axis, None] - x[None, :, axis]
+            C[a : a + rows] &= np.abs(d, out=d) <= eps + _TOL
     return C
 
 
 def _self_failures(s, R, eps, adm):
-    """Per block of ROW_BLOCK rows of R, in sorted order: the related pairs
-    (I, J) and the first clause each fails against R (0 none, 1 to 3 for
-    'a' to 'c').  adm is the list of admissible disturbance pairs."""
+    """The related pairs (I, J) of R in row-major order, and the first
+    clause each fails against R (0 none, 1 to 3 for 'a' to 'c'), in
+    slices that make at most STEP_LOOKUPS relation lookups (at least one
+    pair each).  adm is the list of admissible disturbance pairs."""
     x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
     adm = np.array(adm, np.intp).reshape(-1, 2).T
     Rx, Rt = _padded(R), _padded(R.T)
@@ -197,9 +205,10 @@ def _self_failures(s, R, eps, adm):
         lambda I, J: _answers(Rx, s.succ, s.succ, I, J, adm),
         lambda I, J: _answers(Rt, s.succ, s.succ, J, I, adm[::-1]),
     )
-    for a in range(0, len(R), ROW_BLOCK):
-        I, J = np.nonzero(R[a : a + ROW_BLOCK])
-        I += a
+    step = max(1, STEP_LOOKUPS // (s.succ.shape[1] ** 2 * adm.shape[1] * s.succ.shape[3] ** 2 or 1))
+    I_all, J_all = np.nonzero(R)
+    for a in range(0, I_all.size, step):
+        I, J = I_all[a : a + step], J_all[a : a + step]
         first = np.zeros(I.size, np.int8)
         for clause, holds in enumerate(tests, 1):
             todo = np.flatnonzero(first == 0)
@@ -324,13 +333,18 @@ def load_relation(path):
     try:
         _, *head, body = text.split("\n", 6)
         (_, left), (_, right), (_, eps), (_, *eps_tilde), _ = (line.split(" ") for line in head)
-        # the pair lines' numbers (the last newline leaves one empty piece), sorted and each once
-        pairs = np.array(body.replace("\n", " ").split(" ")[:-1], np.int64).reshape(-1, 2)
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
-        once = np.ones(len(pairs), bool)
-        once[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-        rel = RelationTable(pairs[once, 0], pairs[once, 1], float(eps), tuple(map(float, eps_tilde)))
-    except (ValueError, OverflowError) as exc:
+        if body[:1] == "\n" or "\n\n" in body:
+            raise ValueError("blank line")
+        # the pair lines' numbers in one parse (junk stops it with a
+        # DeprecationWarning, in later numpy a ValueError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
+        i, j = pairs.T
+        if not ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
+            pairs = np.unique(pairs, axis=0)  # sorted and each once, so the check below names a line
+        rel = RelationTable(pairs[:, 0], pairs[:, 1], float(eps), tuple(map(float, eps_tilde)))
+    except (ValueError, DeprecationWarning) as exc:
         raise FormatError(f"malformed relation file: {exc}") from None
     _check_precisions(rel.eps, rel.eps_tilde, FormatError)
     expected = _relation_text(rel, left, right)
@@ -338,4 +352,5 @@ def load_relation(path):
         for n, (got, want) in enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()), 1):
             if got != want:
                 raise FormatError(f"line {n} reads {got!r}, expected {want!r}")
+        raise FormatError("line breaks differ from the canonical form: each line ends in one newline")
     return rel, left, right

@@ -11,9 +11,12 @@ then + -, all binary operators left-associative)::
     var    := ('x'|'u'|'w') digits          (1-based index)
     fn     := 'sin' | 'cos' | 'tanh' | 'exp'
 
-Evaluation is plain IEEE double arithmetic, left to right, and accepts
-numpy arrays for the variable values so that ensembles evaluate in one
-pass.  Parsing and evaluation recurse, so deeper than MAX_DEPTH is refused.
+Expressions are evaluated only compiled: compile_array turns a model's
+entries into one generated Python function that fills an array, one
+expression per entry with the numpy operations of a walk over its tree
+in the same order, so arithmetic is plain IEEE double, left to right.
+Variables may be numpy arrays, so ensembles evaluate in one pass.
+Parsing and compiling recurse, so deeper than MAX_DEPTH is refused.
 """
 
 from __future__ import annotations
@@ -45,34 +48,21 @@ _TOKEN_RE = re.compile(
 class Expr:
     """Base class of expression nodes (immutable)."""
 
-    def eval(self, x, u, w):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     kind: str  # 'x', 'u' or 'w'
     index: int  # 1-based
 
-    def eval(self, x, u, w):
-        vec = {"x": x, "u": u, "w": w}[self.kind]
-        return vec[self.index - 1]
-
 
 @dataclass(frozen=True)
 class Lit(Expr):
     value: float
 
-    def eval(self, x, u, w):
-        return self.value
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def eval(self, x, u, w):
-        return -self.arg.eval(x, u, w)
 
 
 @dataclass(frozen=True)
@@ -81,40 +71,17 @@ class Bin(Expr):
     lhs: Expr
     rhs: Expr
 
-    def eval(self, x, u, w):
-        a = self.lhs.eval(x, u, w)
-        b = self.rhs.eval(x, u, w)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if np.any(b == 0):
-            raise ExprEvalError("division by zero", source=to_source(self))
-        return a / b
-
 
 @dataclass(frozen=True)
 class Call(Expr):
     fn: str
     arg: Expr
 
-    def eval(self, x, u, w):
-        a = self.arg.eval(x, u, w)
-        return getattr(np, self.fn)(a)
-
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     power: int
-
-    def eval(self, x, u, w):
-        a = self.base.eval(x, u, w)
-        if self.power < 0 and np.any(a == 0):
-            raise ExprEvalError("zero raised to a negative power", source=to_source(self))
-        return a ** self.power
 
 
 def tokenize(text, line=1, col_offset=0):
@@ -314,3 +281,58 @@ def free_vars(e: Expr):
         yield from free_vars(e.arg)
     elif isinstance(e, Pow):
         yield from free_vars(e.base)
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+
+def _div(a, b, source):
+    if np.any(b == 0):
+        raise ExprEvalError("division by zero", source=source)
+    return a / b
+
+
+def _neg_pow(a, power, source):
+    if np.any(a == 0):
+        raise ExprEvalError("zero raised to a negative power", source=source)
+    return a ** power
+
+
+def _code(e: Expr, consts: list) -> str:
+    """Python source of e, fully parenthesized: operands evaluate left to
+    right and each node runs its numpy operation, as a walk over the tree
+    does, and each intermediate is freed once its parent has used it."""
+    if isinstance(e, Var) and e.kind in ("x", "u", "w"):
+        return f"{e.kind}[{e.index - 1:d}]"
+    if isinstance(e, Lit):
+        consts.append(e.value)  # a table, not repr: 1e999 is inf
+        return f"c[{len(consts) - 1}]"
+    if isinstance(e, Neg):
+        return f"(-{_code(e.arg, consts)})"
+    if isinstance(e, Bin) and e.op in ("+", "-", "*"):
+        return f"({_code(e.lhs, consts)} {e.op} {_code(e.rhs, consts)})"
+    if isinstance(e, Bin) and e.op == "/":
+        return f"_div({_code(e.lhs, consts)}, {_code(e.rhs, consts)}, {to_source(e)!r})"
+    if isinstance(e, Call) and e.fn in _FUNCTIONS:
+        return f"np.{e.fn}({_code(e.arg, consts)})"
+    if isinstance(e, Pow) and e.power < 0:
+        return f"_neg_pow({_code(e.base, consts)}, {e.power:d}, {to_source(e)!r})"
+    if isinstance(e, Pow):
+        return f"({_code(e.base, consts)} ** {e.power:d})"
+    raise TypeError(f"not a compilable expression node: {e!r}")  # no other text reaches the source
+
+
+def compile_array(entries: dict, lead: tuple, args: str):
+    """One generated function of args ("x, u, w" or "x") that reads x as a
+    float array and returns the (*lead, *x.shape[1:]) array holding
+    entries[index] at each index of entries and zero elsewhere.  Results
+    are those of a left-to-right walk over each tree, bit for bit."""
+    consts = []
+    body = [f"out[{', '.join(f'{i:d}' for i in index)}] = {_code(e, consts)}" for index, e in entries.items()]
+    shape = "".join(f"{d:d}, " for d in lead)
+    source = "\n    ".join([f"def compiled({args}):", "x = asarray(x, float)",
+                            f"out = zeros(({shape}*x.shape[1:]))", *body, "return out"])
+    namespace = dict(np=np, asarray=np.asarray, zeros=np.zeros, _div=_div, _neg_pow=_neg_pow, c=tuple(consts))
+    exec(compile(source, "<compiled expressions>", "exec"), namespace)
+    return namespace["compiled"]

@@ -269,7 +269,10 @@ def flow_nominal(
     keep results reproducible across platforms, and a cell's result does
     not depend on the batch it is in.  A trajectory leaving the domain
     inflated by domain_margin (fraction of the box width per side) is
-    flagged escaped, not an error.
+    flagged escaped, not an error.  One that turns non-finite at a step
+    h with h * Lf <= 1, well inside RK4's stability interval, blows up in
+    finite time, and no finer step would help: that raises at once.  A
+    stiff cell that overflows only at coarser steps keeps doubling.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -293,6 +296,10 @@ def flow_nominal(
     while True:
         fine, esc = _integrate(sys, x0, u, w, tau, 2 * steps, lo, hi)
         ok = np.isfinite(fine).all(axis=0)
+        if not ok.all() and tau * sys.lf <= 2 * steps:
+            start = x0[:, ~ok][:, 0].tolist()
+            raise AbstractionError(f"flow integration did not reach tolerance {tol}: the flow from {start} "
+                                   f"is non-finite at {2 * steps} substeps, where step * Lf <= 1: a blow-up")
         err = np.full(todo.size, math.inf)
         err[ok] = np.abs(coarse[:, ok] - fine[:, ok]).max(axis=0)
         done = err <= tol

@@ -30,12 +30,13 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelError, ParseError
-from .expr import Expr, Lit, free_vars, parse_expr
+from .expr import compile_array, free_vars, parse_expr
 
 
 @dataclass(frozen=True)
@@ -68,25 +69,21 @@ class SysModel:
     def dist_lipschitz(self):
         return self.lf if self.lw is None else self.lw
 
-    def drift_eval(self, x, u, w):
-        """Evaluate f at x, u, w; trailing axes broadcast (ensemble mode)."""
-        x = np.asarray(x, float)
-        tail = np.shape(x)[1:]
-        out = np.zeros((self.n, *tail))
-        for i, e in enumerate(self.drift):
-            out[i] = e.eval(x, u, w)
-        return out
+    @cached_property
+    def drift_eval(self):
+        """f(x, u, w) as an (n, ...) array, one function compiled on first use;
+        trailing axes of x broadcast (ensemble mode)."""
+        return compile_array({(i,): e for i, e in enumerate(self.drift)}, (self.n,), "x, u, w")
 
-    def diffusion_eval(self, x):
-        """Evaluate sigma at x as an (n, r, ...) array."""
-        x = np.asarray(x, float)
-        tail = np.shape(x)[1:]
-        out = np.zeros((self.n, self.r, *tail))
-        for i, row in enumerate(self.diffusion):
-            for k, e in enumerate(row):
-                if e is not None:
-                    out[i, k] = e.eval(x, None, None)
-        return out
+    @cached_property
+    def diffusion_eval(self):
+        """sigma(x) as an (n, r, ...) array, compiled as drift_eval is."""
+        entries = {(i, k): e for i, row in enumerate(self.diffusion) for k, e in enumerate(row) if e is not None}
+        return compile_array(entries, (self.n, self.r), "x")
+
+    def __getstate__(self):
+        # the compiled functions cannot be pickled; a copy compiles its own
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def domain_array(self):
         return np.array(self.domain, float)

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -256,16 +257,30 @@ def test_relation_arrays_are_read_only_and_sorted(scalar_model):
         (lambda ls: [*ls, ls[-1]], "line 12 reads '4 4', expected None"),
         (lambda ls: [*ls[:-2], ls[-1], ls[-2]], "line 10 reads '4 4', expected '3 3'"),
         (lambda ls: ls[:-1], "line 6 reads 'pairs 5', expected 'pairs 4'"),
+        (lambda ls: [*ls[:-1], "4 x"], "malformed relation file"),
+        (lambda ls: [*ls[:-1], "4 4.0"], "malformed relation file"),
     ],
     ids=["left-label", "eps-label", "eps-not-canonical", "eps-two-values", "no-pairs-line",
-         "extra-pair", "blank-line", "duplicate-pair", "pairs-descending", "missing-pair"],
+         "extra-pair", "blank-line", "duplicate-pair", "pairs-descending", "missing-pair",
+         "junk", "decimal-point"],
 )
 def test_relation_file_is_strict(edit, message, tmp_path, scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
     path = tmp_path / "r.rel"
     save_relation(largest_bisimulation(a, a, 0.0, (0.0,)), a, a, path)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(FormatError, match=message):
+    # numpy's parse stops at junk with a DeprecationWarning: none escapes
+    with warnings.catch_warnings(), pytest.raises(FormatError, match=message):
+        warnings.simplefilter("error")
+        load_relation(path)
+
+
+def test_relation_file_without_final_newline_is_refused(tmp_path, scalar_model):
+    a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    path = tmp_path / "r.rel"
+    save_relation(largest_bisimulation(a, a, 0.0, (0.0,)), a, a, path)
+    path.write_text(path.read_text()[:-1])
+    with pytest.raises(FormatError, match="line breaks differ"):
         load_relation(path)
 
 
@@ -489,7 +504,13 @@ def test_self_path_never_builds_pairs(monkeypatch, tmp_path, pair_net):
         assert set(zip(loaded.first.tolist(), loaded.second.tolist())) == pairs
 
 
-def test_row_block_size_does_not_change_results(monkeypatch, pair_net):
+def _lookups_per_pair(s, et):
+    """Relation lookups one clause (b) or (c) test makes for one pair of s."""
+    _, inputs, _, k = s.succ.shape
+    return inputs * inputs * len(bisimcheck._admissible_dist_pairs(s, s, et)) * k * k
+
+
+def test_step_size_does_not_change_results(monkeypatch, pair_net):
     rng = np.random.default_rng(5)
     cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(5))]
     expected = []
@@ -497,9 +518,30 @@ def test_row_block_size_does_not_change_results(monkeypatch, pair_net):
         rel = largest_bisimulation(s, s, eps, et)
         half = RelationTable(rel.first[::2], rel.second[::2], eps=eps, eps_tilde=et)
         expected.append((rel, half, check_relation(s, s, rel), check_relation(s, s, half)))
-    for rows in (1, 2, 7):
-        monkeypatch.setattr(bisimcheck, "ROW_BLOCK", rows)
+    for pairs_per_step in (1, 2, 7):
         for (s, eps, et), (rel, half, rel_check, half_check) in zip(cases, expected):
+            monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", pairs_per_step * _lookups_per_pair(s, et))
             assert largest_bisimulation(s, s, eps, et).pairs == rel.pairs
             assert check_relation(s, s, rel) == rel_check
             assert check_relation(s, s, half) == half_check
+
+
+def test_no_step_exceeds_the_lookup_budget(monkeypatch, pair_net):
+    rng = np.random.default_rng(6)
+    cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(3))]
+    answers = bisimcheck._answers
+    calls = []
+
+    def counted(Rx, succ_c, succ_r, I, J, adm):
+        lookups = I.size * succ_c.shape[1] * succ_r.shape[1] * adm.shape[1] * succ_c.shape[3] * succ_r.shape[3]
+        calls.append(lookups)
+        return answers(Rx, succ_c, succ_r, I, J, adm)
+
+    monkeypatch.setattr(bisimcheck, "_answers", counted)
+    for s, eps, et in cases:
+        budget = 5 * _lookups_per_pair(s, et)
+        monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", budget)
+        calls.clear()
+        rel = largest_bisimulation(s, s, eps, et)
+        assert check_relation(s, s, rel).valid
+        assert calls and max(calls) <= budget

@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +279,20 @@ def test_worker_determinism(scalar_model, monkeypatch):
     assert build_abstraction(scalar_model, 0.5, 0.125, 0.05).serialize() == texts[0]
 
 
+def test_model_pickles_for_spawned_workers(scalar_model, monkeypatch):
+    # spawn (and forkserver, Linux's default from Python 3.14) pickles the
+    # model for the workers; its compiled evaluators stay behind
+    one = build_abstraction(scalar_model, 0.5, 0.125, 0.05).serialize()
+    assert "drift_eval" in vars(scalar_model)
+    copied = pickle.loads(pickle.dumps(scalar_model))
+    assert copied == scalar_model and "drift_eval" not in vars(copied)
+    x = np.linspace(-1.0, 1.0, 7)[None]
+    assert np.array_equal(copied.drift_eval(x, [0.1], [0.2]), scalar_model.drift_eval(x, [0.1], [0.2]))
+    monkeypatch.setattr(gridabs, "FLOW_CHUNK", 10)
+    monkeypatch.setattr(gridabs, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert build_abstraction(scalar_model, 0.5, 0.125, 0.05, workers=2).serialize() == one
+
+
 # content_hash() of build_abstraction output, computed with the per-cell
 # flow that the batched kernel replaced: the kernel must reproduce every
 # endpoint, escaped flag and successor set bit for bit
@@ -370,3 +387,30 @@ def test_flow_blowup_raises():
         flow_nominal(_quadratic_2d(), x0, None, None, 3.0, max_substeps=256)
     with pytest.raises(AbstractionError, match="tolerance"):
         flow_nominal(_quadratic_2d(), x0[:, 1], None, None, 3.0, max_substeps=256)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_blowup_fails_fast():
+    # the cells near (1, -1) blow up before tau = 1 at every step count;
+    # doubling them to the default cap of 2^20 substeps took minutes
+    g = np.linspace(-1.0, 1.0, 9)
+    x0 = np.array(np.meshgrid(g, g, indexing="ij"))
+    start = time.perf_counter()
+    with pytest.raises(AbstractionError, match="non-finite at 16 substeps"):
+        flow_nominal(_quadratic_2d(), x0, None, None, 1.0, substeps=2)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stiff_flow_keeps_doubling():
+    # x1' = -300 x1^3 contracts, but RK4 from x1 = +-1 overflows at 16, 32
+    # and 64 steps (h * Lf > 1 with Lf = 900) and is finite from 128 on
+    x1 = Var("x", 1)
+    stiff = dataclasses.replace(
+        _autonomous([Bin("*", Bin("*", Bin("*", Neg(Lit(300.0)), x1), x1), x1)]), lf=900.0
+    )
+    res = flow_nominal(stiff, np.array([[-1.0, 1.0, 0.5]]), None, None, 1.0, tol=1e-6)
+    assert [v.hex() for v in res.endpoint[0].tolist()] == [
+        "-0x1.4e289d2ed3126p-5", "0x1.4e289d2ed3126p-5", "0x1.4d53e7350eb83p-5"
+    ]
+    assert res.substeps.tolist() == [2048, 2048, 512] and not res.escaped.any()
