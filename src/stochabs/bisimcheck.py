@@ -328,7 +328,7 @@ def load_relation(path):
     ending in a newline and nothing after the last pair.
     """
     text = read_text(path, FormatError)
-    if text.split("\n", 1)[0] != REL_HEADER:
+    if text.split("\n", 1)[0].removesuffix("\r") != REL_HEADER:  # CRLF fails the line-break check
         raise FormatError(f"bad header (expected {REL_HEADER!r})")
     try:
         _, *head, body = text.split("\n", 6)

@@ -298,7 +298,7 @@ def derive_bounds(sys: SysModel, cert: QuadraticCertificate) -> BoundKit:
     )
 
 
-def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float, dist_box=None) -> float:
+def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float) -> float:
     """Bound on E[ |noisy - noise-free trajectory|^2 ] at time t.
 
     Zero at t = 0 and identically zero when the diffusion Lipschitz
@@ -309,11 +309,10 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float, dist_box=None) -> fl
         raise ParameterError(f"time must be nonnegative, got {t}")
     if t == 0.0 or kit.l_sigma == 0.0:
         return 0.0
-    wbox = sys.dist_box if dist_box is None else dist_box
     # sup of the infinity norm over a box: the largest absolute bound
     sup_d2 = inf_norm(np.ravel(sys.domain)) ** 2
     sup_u = inf_norm(np.ravel(sys.input_box))
-    sup_w2 = inf_norm(np.ravel(wbox)) ** 2
+    sup_w2 = inf_norm(np.ravel(sys.dist_box)) ** 2
     k = kit.kappa
     base_val = kit.beta.base(sup_d2)
     const_val = kit.rho_u(sup_u) + kit.rho_d(sup_w2)
@@ -363,7 +362,6 @@ def precision_lower_bound(
     tau: float,
     eps_tilde_norm: float = 0.0,
     psi_tau: float = 0.0,
-    dist_box=None,
 ) -> float:
     """Strict lower bound on the precision eps admitting feasible pitches.
 
@@ -373,7 +371,7 @@ def precision_lower_bound(
     if tau <= 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     k = kit.kappa
-    h = noise_gap_bound(kit, sys, tau, dist_box=dist_box)
+    h = noise_gap_bound(kit, sys, tau)
     num = kit.sigma_d(psi_tau + eps_tilde_norm) / (_E * k) + kit.v_modulus(math.sqrt(h))
     val = kit.alpha_low.invert(num / (1.0 - math.exp(-k * tau)))
     return math.sqrt(val)
@@ -387,16 +385,13 @@ def pitch_upper_bound(
     omega: float,
     eps_tilde_norm: float = 0.0,
     psi_tau: float = 0.0,
-    dist_box=None,
 ) -> float:
     """Largest admissible state pitch eta for the given parameters.
 
     May be negative or -inf: that signals infeasibility of (eps, omega)
     and is returned rather than raised so searches can bracket on it.
     """
-    terms = pitch_terms(
-        kit, sys, tau, eps, omega, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau, dist_box=dist_box
-    )
+    terms = pitch_terms(kit, sys, tau, eps, omega, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau)
     return terms["pitch_bound"]
 
 
@@ -408,7 +403,6 @@ def pitch_terms(
     omega: float,
     eps_tilde_norm: float = 0.0,
     psi_tau: float = 0.0,
-    dist_box=None,
 ) -> dict:
     """Every term of the pitch condition, for reporting and search."""
     if tau <= 0:
@@ -423,7 +417,7 @@ def pitch_terms(
     decay = 1.0 - math.exp(-k * tau)
     input_term = kit.sigma_u(omega) / (_E * k)
     dist_term = kit.sigma_d(psi_tau + eps_tilde_norm) / (_E * k)
-    h = noise_gap_bound(kit, sys, tau, dist_box=dist_box)
+    h = noise_gap_bound(kit, sys, tau)
     sqrt_h = math.sqrt(h)
     gamma_arg = decay * low_val - input_term - dist_term
     if gamma_arg < 0.0:

@@ -473,15 +473,16 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ParameterError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
-    except StochabsError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StochabsError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except MemoryError:
         print(f"error: out of memory in '{args.command}'; try a smaller problem "
               "(coarser pitches, fewer paths or steps)", file=_sys.stderr)
+        return 2
+    except OverflowError:
+        print(f"error: numeric overflow in '{args.command}': a bound exceeds the float range; "
+              "try a smaller tau or eps", file=_sys.stderr)
         return 2
 
 

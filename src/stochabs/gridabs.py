@@ -43,6 +43,8 @@ FORMAT_HEADER = "STOCHABS v1"
 #: kernel's working arrays whatever the abstraction size.
 FLOW_CHUNK = 8192
 
+DOMAIN_MARGIN = 0.5  # share of the domain's width, per side, a flow may leave before it is escaped
+
 
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
@@ -258,7 +260,6 @@ def flow_nominal(
     substeps: int = 16,
     tol: float = 1e-9,
     max_substeps: int = 1 << 20,
-    domain_margin: float = 0.5,
 ) -> FlowResult:
     """Integrate the noise-free dynamics over [0, tau] with fixed-step RK4.
 
@@ -268,11 +269,11 @@ def flow_nominal(
     step-doubling error estimate drops below tol, then stops; fixed steps
     keep results reproducible across platforms, and a cell's result does
     not depend on the batch it is in.  A trajectory leaving the domain
-    inflated by domain_margin (fraction of the box width per side) is
-    flagged escaped, not an error.  One that turns non-finite at a step
-    h with h * Lf <= 1, well inside RK4's stability interval, blows up in
-    finite time, and no finer step would help: that raises at once.  A
-    stiff cell that overflows only at coarser steps keeps doubling.
+    inflated by DOMAIN_MARGIN is flagged escaped, not an error.  One that
+    turns non-finite at a step h with h * Lf <= 1, well inside RK4's
+    stability interval, blows up in finite time, and no finer step would
+    help: that raises at once.  A stiff cell that overflows only at
+    coarser steps keeps doubling.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -284,8 +285,8 @@ def flow_nominal(
     w = _cell_values(w, sys.p, count)
     box = sys.domain_array()
     width = box[:, 1] - box[:, 0]
-    lo = (box[:, 0] - domain_margin * width)[:, None]
-    hi = (box[:, 1] + domain_margin * width)[:, None]
+    lo = (box[:, 0] - DOMAIN_MARGIN * width)[:, None]
+    hi = (box[:, 1] + DOMAIN_MARGIN * width)[:, None]
 
     endpoint = np.empty_like(x0)
     escaped = np.zeros(count, bool)
@@ -372,7 +373,6 @@ class FiniteAbstraction:
     dist_block_nodes: tuple
     node_names: tuple
     node_dims: tuple
-    external_names: tuple
     succ: np.ndarray
     ood: np.ndarray
 
@@ -397,6 +397,11 @@ class FiniteAbstraction:
         return sum(self.node_dims)
 
     @property
+    def external_names(self) -> tuple:
+        """The nodes that supply the disturbance blocks, in block order."""
+        return tuple(filter(None, self.dist_block_nodes))
+
+    @property
     def transitions(self) -> Mapping:
         return _TableView(self.succ, self.ood)
 
@@ -405,8 +410,8 @@ class FiniteAbstraction:
         lines = [FORMAT_HEADER, f"system {self.system}"]
         if len(self.node_names) > 1:
             parts = [f"{n}:{d}" for n, d in zip(self.node_names, self.node_dims)]
-            ext = [str(n) for n in self.external_names]
-            lines.append("composed " + " ".join(parts) + " external" + ("" if not ext else " " + " ".join(ext)))
+            ext = "".join(" " + n for n in self.external_names)
+            lines.append("composed " + " ".join(parts) + " external" + ext)
         lines.append(
             "tau "
             + _g17(self.tau)
@@ -490,12 +495,11 @@ def _parse_body(lines) -> FiniteAbstraction:
     """Parse the header and the table; the header must then be exactly
     the lines _header renders for the parsed values."""
     system, pos = lines[1].split(" ", 1)[1], 2
-    node_names, node_dims, external = (system,), None, ()
+    node_names, node_dims = (system,), None
     if lines[pos].startswith("composed "):
         toks = lines[pos].split()[1:]
-        cut = toks.index("external")
-        node_names, node_dims = zip(*(t.rsplit(":", 1) for t in toks[:cut]))
-        external, pos = tuple(toks[cut + 1 :]), pos + 1
+        node_names, node_dims = zip(*(t.rsplit(":", 1) for t in toks[: toks.index("external")]))
+        pos += 1
     toks = lines[pos].split()
     i_eta, i_om, i_eps = toks.index("eta"), toks.index("omega"), toks.index("eps")
     omega_toks = toks[i_om + 1 : i_eps]
@@ -535,7 +539,6 @@ def _parse_body(lines) -> FiniteAbstraction:
         dist_block_nodes=tuple("" if n == "-" else n for _, n in blocks),
         node_names=tuple(node_names),
         node_dims=tuple(map(int, node_dims)) if node_dims else (len(eta),),
-        external_names=external,
         succ=succ,
         ood=ood,
     )
@@ -645,10 +648,10 @@ def _pack(succ, valid):
 
 def _flow_chunk(payload, bounds):
     """Endpoints and escaped flags of the cells with flat index in [start, stop)."""
-    sys, states, inputs, dists, tau, substeps, tol = payload
+    sys, states, inputs, dists, tau, tol = payload
     si, rest = np.divmod(np.arange(*bounds), len(inputs) * len(dists))
     ui, di = np.divmod(rest, len(dists))
-    res = flow_nominal(sys, states[si].T, inputs[ui].T, dists[di].T, tau, substeps=substeps, tol=tol)
+    res = flow_nominal(sys, states[si].T, inputs[ui].T, dists[di].T, tau, tol=tol)
     return res.endpoint, res.escaped
 
 
@@ -677,7 +680,6 @@ def build_abstraction(
     force: bool = False,
     max_cells: int = 250_000,
     workers: int = 1,
-    substeps: int = 16,
 ) -> FiniteAbstraction:
     """Build the finite abstraction of sys at sampling time tau.
 
@@ -746,7 +748,6 @@ def build_abstraction(
         np.array(inputs, float).reshape(len(inputs), sys.m),
         np.array(dists, float).reshape(len(dists), sys.p),
         tau,
-        substeps,
         tol,
     )
     box = sys.domain_array()
@@ -776,7 +777,6 @@ def build_abstraction(
         dist_block_nodes=tuple(dist_block_nodes),
         node_names=(sys.name,),
         node_dims=(sys.n,),
-        external_names=(),
         succ=succ.reshape(*shape, succ.shape[1]),
         ood=ood.reshape(shape),
     )

@@ -46,7 +46,7 @@ import numpy as np
 
 from .certify import BoundKit, QuadraticCertificate, increment_constant, noise_gap_bound
 from .gridabs import FiniteAbstraction, flow_nominal, input_lattice
-from .sysdsl import SysModel, sample_box
+from .sysdsl import SysModel, inf_norm, sample_box
 
 _DIVERGE_LIMIT = 1e9
 NOISE_BLOCK = 512  # most steps of each path's stream drawn at a time
@@ -418,15 +418,20 @@ _CLOSENESS_FRACTIONS = (0.25, 0.5, 1.0)
 _INCREMENT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _quarter_steps(steps):
+    """steps rounded up to a multiple of 4, so that every quarter of tau ends on a step."""
+    return steps + (-steps) % 4
+
+
 def _moment_config(sys: SysModel, x0, u, w, steps):
-    """x0, u and w as float vectors (u = w = 0 when None), steps rounded up to a multiple of 4."""
+    """x0, u and w as float vectors (u = w = 0 when None), and _quarter_steps(steps)."""
     u = np.zeros(sys.m) if u is None else np.atleast_1d(np.asarray(u, float))
     w = np.zeros(sys.p) if w is None else np.atleast_1d(np.asarray(w, float))
     x0 = np.atleast_1d(np.asarray(x0, float))
-    return x0, u, w, steps + (-steps) % 4
+    return x0, u, w, _quarter_steps(steps)
 
 
-def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist_box):
+def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged):
     """Moment-closeness rows from an ensemble whose columns are the checkpoints ckpt."""
     ok = ~diverged
     dt = tau / steps
@@ -436,7 +441,7 @@ def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist
         t = ks * dt
         ref = flow_nominal(sys, x0, u, w, t, tol=1e-12).endpoint
         gap = np.abs(vals[ok, idx, :] - ref).max(axis=1) ** 2
-        report.add(f"{t:.6g}", gap, noise_gap_bound(kit, sys, t, dist_box=dist_box), slack)
+        report.add(f"{t:.6g}", gap, noise_gap_bound(kit, sys, t), slack)
     return report
 
 
@@ -466,7 +471,6 @@ def validate_moment_closeness(
     u=None,
     w=None,
     steps=2048,
-    dist_box=None,
 ) -> BoundReport:
     """Gap between noisy and noise-free trajectories vs its bound.
 
@@ -476,7 +480,7 @@ def validate_moment_closeness(
     x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
     ckpt = _checkpoint_steps(steps, _CLOSENESS_FRACTIONS)
     vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
-    return _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged, dist_box)
+    return _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged)
 
 
 def validate_increment_bound(
@@ -509,7 +513,6 @@ def validate_moments(
     u=None,
     w=None,
     steps=2048,
-    dist_box=None,
 ):
     """(moment-closeness report, increment report) from one shared ensemble.
 
@@ -522,7 +525,7 @@ def validate_moments(
     vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
     cols = [_INCREMENT_FRACTIONS.index(f) for f in _CLOSENESS_FRACTIONS]
     closeness = _closeness_report(
-        sys, kit, x0, u, w, tau, steps, [ckpt[c] for c in cols], vals[:, cols], diverged, dist_box
+        sys, kit, x0, u, w, tau, steps, [ckpt[c] for c in cols], vals[:, cols], diverged
     )
     return closeness, _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
 
@@ -531,7 +534,7 @@ def _delta_iss_group(a, a2, u, u2, w, w2, n_paths, steps):
     """delta_iss's group (the pair a, a2 under the same noise) and its step count, a multiple of 4."""
     a = np.atleast_1d(np.asarray(a, float))
     a2 = np.atleast_1d(np.asarray(a2, float))
-    steps += (-steps) % 4
+    steps = _quarter_steps(steps)
     ckpt = _checkpoint_steps(steps, (0.25, 0.5, 0.75, 1.0))
     return ([(a, u, w), (a2, u2, w2)], n_paths, ckpt), steps
 
@@ -543,7 +546,7 @@ def _delta_iss_report(kit, tau, steps, group, vals, diverged):
     dt = tau / steps
 
     def gap(v, v2):
-        return float(np.abs(np.subtract(v, v2, dtype=float)).max(initial=0.0))
+        return float(inf_norm(np.ravel(np.subtract(v, v2, dtype=float))))
 
     da = gap(a, a2) ** 2
     offset = kit.rho_u(gap(u, u2)) + kit.rho_d(gap(w, w2) ** 2)

@@ -74,23 +74,22 @@ def build_wtilde(spec: NetworkSpec, i: int, etas):
     return tuple(symbols), blocks, block_nodes
 
 
-def eps_tilde_vec(spec: NetworkSpec, i: int, eps=None, etas=None) -> np.ndarray:
+def eps_tilde_vec(spec: NetworkSpec, i: int, etas=None) -> np.ndarray:
     """Per-neighbour disturbance precision vector of node i.
 
     When etas is given, the selection hypothesis eta_j <= eps_j is
     enforced for every neighbour.
     """
-    eps = spec.eps if eps is None else eps
     nbrs = spec.neighbors(i)
     if etas is not None:
         for j in nbrs:
             eta_j = etas[j]
             worst = max(eta_j) if np.iterable(eta_j) else eta_j
-            if worst > eps[j] + 1e-12:
+            if worst > spec.eps[j] + 1e-12:
                 raise ModelError(
-                    f"node {spec.node_names[j]!r}: pitch {worst} exceeds its precision {eps[j]}"
+                    f"node {spec.node_names[j]!r}: pitch {worst} exceeds its precision {spec.eps[j]}"
                 )
-    return np.array([eps[j] for j in nbrs], float)
+    return np.array([spec.eps[j] for j in nbrs], float)
 
 
 def psi_bound(spec: NetworkSpec, i: int, t: float) -> float:
@@ -117,7 +116,10 @@ class NodeSynthesis:
 @dataclass
 class SynthesisResult:
     nodes: list
-    feasible: bool
+
+    @property
+    def feasible(self):  # all-or-nothing
+        return all(node.feasible for node in self.nodes)
 
     def etas(self):
         return {i: node.eta for i, node in enumerate(self.nodes)}
@@ -192,7 +194,7 @@ def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
                 sys, cert, spec.tau, spec.eps[i], etn, psi_tau, spec.omega[i], spec.eta[i], seed
             )
         nodes.append(replace(node, name=spec.node_names[i]))
-    return SynthesisResult(nodes=nodes, feasible=all(node.feasible for node in nodes))
+    return SynthesisResult(nodes)
 
 
 def build_node_abstraction(
@@ -200,6 +202,7 @@ def build_node_abstraction(
 ) -> FiniteAbstraction:
     """Build node i's abstraction with its neighbour-product disturbances
     (a synthesized pitch always passes its certificate's pitch check)."""
+    # looked up per call: perfbench/layers.py traces gridabs.build_abstraction by attribute
     from .gridabs import build_abstraction
 
     sys = spec.nodes[i]
@@ -219,15 +222,13 @@ def build_node_abstraction(
     return replace(abs_i, system=spec.node_names[i], node_names=(spec.node_names[i],))
 
 
-def composed_relation_params(spec: NetworkSpec, subset, eps=None):
+def composed_relation_params(spec: NetworkSpec, subset):
     """(eps, eps_tilde) for the composed relation over the subset."""
-    eps = spec.eps if eps is None else eps
     subset = sorted(set(subset))
     if not subset:
         raise ModelError("empty composition subset")
-    composed_eps = max(eps[i] for i in subset)
     externals = neighbors_of_set(spec, subset)
-    return composed_eps, tuple(eps[j] for j in externals)
+    return max(spec.eps[i] for i in subset), tuple(spec.eps[j] for j in externals)
 
 
 def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
@@ -325,7 +326,7 @@ def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
         ood = ood | part.ood[at]
     succ = _pack(succ.reshape(n_s * n_u * n_e, -1), valid.reshape(n_s * n_u * n_e, -1))
 
-    composed_eps, composed_et = composed_relation_params(spec, subset, spec.eps)
+    composed_eps, composed_et = composed_relation_params(spec, subset)
     return FiniteAbstraction(
         system="+".join(n for p in parts for n in p.node_names),
         tau=parts[0].tau,
@@ -340,7 +341,6 @@ def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
         dist_block_nodes=tuple(spec.node_names[j] for j in externals),
         node_names=tuple(n for p in parts for n in p.node_names),
         node_dims=tuple(d for p in parts for d in p.node_dims),
-        external_names=tuple(spec.node_names[j] for j in externals),
         succ=succ.reshape(n_s, n_u, n_e, succ.shape[1]),
         ood=ood,
     )

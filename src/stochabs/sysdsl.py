@@ -435,9 +435,10 @@ def _derive_dist_boxes(spec: NetworkSpec) -> NetworkSpec:
 
 
 def read_text(path, error) -> str:
-    """Read a UTF-8 text file; bytes that do not decode raise `error`."""
+    """Read a UTF-8 text file with its line ends as written; bytes that do not decode raise `error`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
 

@@ -25,7 +25,7 @@ def toy(states, transitions, dists=((0.0,),), inputs=((0.0,),), eta=(0.25,)):
         system="toy", tau=1.0, eta=eta, omega=(0.0,), eps=0.0, eps_tilde=(),
         states=tuple(states), inputs=tuple(inputs), dists=tuple(dists),
         dist_blocks=(1,) * len(dists[0]), dist_block_nodes=("",) * len(dists[0]),
-        node_names=("toy",), node_dims=(len(states[0]),), external_names=(),
+        node_names=("toy",), node_dims=(len(states[0]),),
         **table(transitions, (len(states), len(inputs), len(dists))),
     )
 
@@ -259,10 +259,11 @@ def test_relation_arrays_are_read_only_and_sorted(scalar_model):
         (lambda ls: ls[:-1], "line 6 reads 'pairs 5', expected 'pairs 4'"),
         (lambda ls: [*ls[:-1], "4 x"], "malformed relation file"),
         (lambda ls: [*ls[:-1], "4 4.0"], "malformed relation file"),
+        (lambda ls: [line + "\r" for line in ls], "line breaks differ"),
     ],
     ids=["left-label", "eps-label", "eps-not-canonical", "eps-two-values", "no-pairs-line",
          "extra-pair", "blank-line", "duplicate-pair", "pairs-descending", "missing-pair",
-         "junk", "decimal-point"],
+         "junk", "decimal-point", "crlf"],
 )
 def test_relation_file_is_strict(edit, message, tmp_path, scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)

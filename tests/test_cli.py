@@ -681,3 +681,67 @@ def test_non_numeric_certificate_matrix_is_usage_error(capsys):
     assert main(["certify", SCALAR, "--kappa", "0.5", "--P", "1 x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --P expects space-separated reals") and "Traceback" not in err
+
+
+def _overflow_tau_net(tmp_path):
+    (tmp_path / "node.sys").write_bytes((DATA / "node.sys").read_bytes())
+    net = tmp_path / "pair_tau1000.net"
+    net.write_text((DATA / "pair.net").read_text().replace("tau=0.5", "tau=1000"))
+    return ["params", str(net)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp_path: ["params", SCALAR, "--tau", "0.5", "--eps", "1e200"],
+        _overflow_tau_net,
+        lambda tmp_path: ["validate", SCALAR, "--tau", "100", "--paths", "10", "--pairs", "2",
+                          "--steps", "8", "--out", str(tmp_path / "rep")],
+    ],
+    ids=["params-eps-squared", "params-neighbor-drift", "validate-increment-constant"],
+)
+def test_overflow_is_usage_error(make_argv, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: numeric overflow in '{argv[0]}'") and err.count("\n") == 1
+
+
+def _crlf(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+@pytest.mark.parametrize(
+    "crlf, message",
+    [(("scalar1.abs", "relation.rel"), "lines do not each end in a single newline"),
+     (("relation.rel",), "line breaks differ from the canonical form")],
+    ids=["abs-and-rel", "rel"],
+)
+def test_crlf_artifacts_are_usage_errors(crlf, message, tmp_path, capsys):
+    _scalar_abs_body(tmp_path)
+    left = tmp_path / "abs" / "scalar1.abs"
+    assert main(["bisim", str(left), str(left), "--eps", "0.3", "--out", str(left.parent)]) == 0
+    for name in crlf:
+        _crlf(left.parent / name)
+    capsys.readouterr()
+    assert main(["bisim", str(left), str(left), "--check", str(left.parent / "relation.rel")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_crlf_system_and_network_files_load(tmp_path, capsys):
+    for name in ("scalar.sys", "node.sys", "pair.net"):
+        (tmp_path / name).write_bytes((DATA / name).read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["lint", str(tmp_path / "scalar.sys")]) == 0
+    capsys.readouterr()
+    assert main(["params", str(tmp_path / "pair.net")]) == main(["params", PAIR]) == 0
+    crlf_out, plain_out = capsys.readouterr().out.split("quantity,parameter,value\n")[1:]
+    assert crlf_out == plain_out
+
+
+def test_report_counts_the_rows_csv_writer_ends_in_crlf(tmp_path, capsys):
+    with open(tmp_path / "suite.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["check", "verdict"], ["a", "pass"], ["b", "FAIL"]])
+    assert b"\r\n" in (tmp_path / "suite.csv").read_bytes()
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "file,rows,failures\nsuite.csv,2,1\n"

@@ -160,7 +160,7 @@ def test_out_of_domain_flagged():
 def test_abstraction_vs_fine_integration_oracle(scalar_model):
     # independent route: plain RK4 at 10x the accepted substep count and a
     # brute-force scan over all grid states
-    a = build_abstraction(scalar_model, 0.5, 0.25, 0.1, substeps=16)
+    a = build_abstraction(scalar_model, 0.5, 0.25, 0.1)
     states = [s[0] for s in a.states]
     for (si, ui, di), (succ, ood) in a.transitions.items():
         x = states[si]
@@ -219,7 +219,7 @@ def test_empty_abstraction_roundtrip():
     empty = FiniteAbstraction(
         system="none", tau=0.5, eta=(0.25,), omega=(), eps=0.0, eps_tilde=(),
         states=(), inputs=(), dists=(), dist_blocks=(), dist_block_nodes=(),
-        node_names=("none",), node_dims=(1,), external_names=(), **table({}, (0, 0, 0)),
+        node_names=("none",), node_dims=(1,), **table({}, (0, 0, 0)),
     )
     text = empty.serialize()
     assert deserialize(text) == empty

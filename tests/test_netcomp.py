@@ -53,11 +53,13 @@ def test_build_wtilde_products(tri_net):
 
 
 def test_eps_tilde(tri_net):
-    et = netcomp.eps_tilde_vec(tri_net, 2, eps=(0.2, 0.3, 1.0))
+    et = netcomp.eps_tilde_vec(dataclasses.replace(tri_net, eps=(0.2, 0.3, 1.0)), 2)
     assert tuple(et) == (0.2, 0.3)
     assert netcomp.eps_tilde_vec(tri_net, 0).size == 0
     with pytest.raises(ModelError, match="exceeds"):
-        netcomp.eps_tilde_vec(tri_net, 2, eps=(0.3, 0.3, 1.0), etas={0: (0.4,), 1: (0.2,), 2: (0.2,)})
+        netcomp.eps_tilde_vec(
+            dataclasses.replace(tri_net, eps=(0.3, 0.3, 1.0)), 2, etas={0: (0.4,), 1: (0.2,), 2: (0.2,)}
+        )
 
 
 def test_wtilde_mismatch_within_eps_tilde(tri_net):
@@ -66,7 +68,7 @@ def test_wtilde_mismatch_within_eps_tilde(tri_net):
     # vector-metric norm
     etas = {0: (0.25,), 1: (0.5,), 2: (0.5,)}
     symbols, blocks, _ = netcomp.build_wtilde(tri_net, 2, etas)
-    et = netcomp.eps_tilde_vec(tri_net, 2, eps=(0.25, 0.5, 1.0), etas=etas)
+    et = netcomp.eps_tilde_vec(dataclasses.replace(tri_net, eps=(0.25, 0.5, 1.0)), 2, etas=etas)
     rng = np.random.default_rng(8)
     symbol_set = set(symbols)
     for _ in range(1000):
@@ -168,9 +170,9 @@ def test_compose_full_network(pair_net):
 def test_composed_relation_params(pair_net, tri_net):
     eps, et = netcomp.composed_relation_params(pair_net, {0, 1})
     assert eps == 8.0 and et == ()
-    eps2, et2 = netcomp.composed_relation_params(tri_net, {1, 2}, eps=(0.2, 0.5, 0.4))
+    eps2, et2 = netcomp.composed_relation_params(dataclasses.replace(tri_net, eps=(0.2, 0.5, 0.4)), {1, 2})
     assert eps2 == 0.5 and et2 == (0.2,)
-    eps3, _ = netcomp.composed_relation_params(pair_net, {0, 1}, eps=(0.2, 0.5))
+    eps3, _ = netcomp.composed_relation_params(dataclasses.replace(pair_net, eps=(0.2, 0.5)), {0, 1})
     assert eps3 == 0.5  # infinity norm of the stacked per-node precisions
 
 
@@ -286,3 +288,37 @@ def test_compose_rejects_overlap(pair_net, tri_net, tri_parts):
         netcomp.compose_abstractions(tri_net, [a, a])
     with pytest.raises(ModelError, match="not in the network"):
         netcomp.compose_abstractions(pair_net, [tri_parts[2]])
+
+
+def test_bounds_read_the_disturbance_box_of_the_network(tmp_path, pair_net):
+    # node a's file declares w1 in [-5, 5]; in the network w1 is its
+    # neighbour's state, on [-1, 1], and every bound reads that box
+    wide = (DATA / "node.sys").read_text().replace("dist w1 in [-1, 1]", "dist w1 in [-5, 5]")
+    (tmp_path / "wide.sys").write_text(wide)
+    (tmp_path / "node.sys").write_text((DATA / "node.sys").read_text())
+    net = (DATA / "pair.net").read_text().replace("node a file=node.sys", "node a file=wide.sys")
+    (tmp_path / "pair.net").write_text(net)
+    spec = sysdsl.load(tmp_path / "pair.net")
+    node_a, narrow, alone = spec.nodes[0], pair_net.nodes[0], sysdsl.load(tmp_path / "wide.sys")
+    assert node_a.dist_box == narrow.dist_box == ((-1.0, 1.0),) and alone.dist_box == ((-5.0, 5.0),)
+
+    def gap(model):
+        kit = certify.derive_bounds(model, certify.QuadraticCertificate.from_model(model))
+        return certify.noise_gap_bound(kit, model, 0.5)
+
+    assert gap(node_a) == gap(narrow) < gap(alone)
+    res, ref = netcomp.synthesize_params(spec), netcomp.synthesize_params(pair_net)
+    assert res.nodes[0].eps_floor == ref.nodes[0].eps_floor
+
+
+def test_parts_and_compositions_equal_their_round_trip(pair_net, tri_net, tri_parts):
+    res = netcomp.synthesize_params(pair_net)
+    omegas = {i: nd.omega for i, nd in enumerate(res.nodes)}
+    a, b = (netcomp.build_node_abstraction(pair_net, i, res.etas(), omegas) for i in range(2))
+    for abstraction in (
+        b,
+        netcomp.compose_abstractions(pair_net, [b]),
+        netcomp.compose_abstractions(pair_net, [a, b]),
+        netcomp.compose_abstractions(tri_net, tri_parts[1:]),
+    ):
+        assert gridabs.deserialize(abstraction.serialize()) == abstraction
