@@ -184,6 +184,13 @@ def cmd_params(args):
     return 0 if all(node.feasible for node in nodes) else _infeasible(nodes, named=network)
 
 
+def _unchecked(msg, force):
+    """A failed pitch check: a usage error, or with --force a warning on stderr."""
+    if not force:
+        raise StochabsError(f"{msg}; pass --force to build anyway")
+    print(f"warning: {msg}; building anyway", file=_sys.stderr)
+
+
 def cmd_abstract(args):
     _require_finite(args, "tau", "eta", "omega", "eps", "eps_tilde_norm", "kappa")
     out_dir = Path(args.out)
@@ -209,24 +216,31 @@ def cmd_abstract(args):
     if omega is None:
         widths = [hi - lo for lo, hi in model.input_box]
         omega = gridabs.snap_input_pitch(model.input_box, min(widths)) if widths else 0.0
-    cert = None
-    try:
-        cert = _certificate(model, args)
-    except StochabsError:
-        if not args.force:
-            raise StochabsError(
-                "no certificate available to validate the pitch; pass --force to build anyway"
-            ) from None
-    eta = gridabs.snap_state_pitch(model.domain, args.eta)
+    eps, kit = args.eps or 0.0, None
+    if eps > 0.0:  # the pitch is checked against the bound of a verified certificate
+        try:
+            cert = _certificate(model, args)
+        except StochabsError:
+            _unchecked("no certificate available to validate the pitch", args.force)
+        else:
+            _, kit, reason = netcomp.verified_kit(model, cert, args.seed)
+            if reason and not args.force:
+                print(f"infeasible: {reason}", file=_sys.stderr)
+                return 1
+            if reason:
+                _unchecked(reason, args.force)
     abstraction = gridabs.build_abstraction(
-        model, args.tau, eta, omega,
-        eps=args.eps or 0.0,
+        model, args.tau, gridabs.snap_state_pitch(model.domain, args.eta), omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
-        cert=cert if (args.eps and cert) else None,
-        force=args.force,
-        max_cells=args.max_cells,
-        workers=args.workers,
+        max_cells=args.max_cells, workers=args.workers,
     )
+    if kit is not None:  # on the snapped pitches; one too coarse for eps makes a small build
+        bound = certify.pitch_upper_bound(
+            kit, model, abstraction.tau, eps, max(abstraction.omega, default=0.0),
+            eps_tilde_norm=max(abstraction.eps_tilde, default=0.0),
+        )
+        if max(abstraction.eta) > bound + 1e-12:
+            _unchecked(f"pitch {max(abstraction.eta)} exceeds the admissible bound {bound}", args.force)
     _write_abstraction(abstraction, out_dir / f"{model.name}.abs")
     return 0
 
@@ -280,22 +294,23 @@ def cmd_validate(args):
     if not node.feasible:
         return _infeasible([node], named=False)
     kit, eps, eta = node.kit, node.eps, node.eta
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dom = model.domain_array()
+    x0 = tuple(gridabs.quantize(0.5 * dom[:, 1], eta))
+    # first: a bound that overflows (the increment constant's exp(alpha tau)) fails before any flow
+    moments = mcvalidate.validate_moments(
+        model, kit, x0, tau, n_paths=args.paths, seed=args.seed, steps=args.steps
+    )
     abstraction = gridabs.build_abstraction(
         model, tau, eta, node.omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
         max_cells=args.max_cells, workers=args.workers,
     )
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dom = model.domain_array()
-    x0 = tuple(gridabs.quantize(0.5 * dom[:, 1], eta))
     ubox = model.input_array()
     wbox = model.dist_array()
     reports = [
-        *mcvalidate.validate_moments(
-            model, kit, x0, tau, n_paths=args.paths, seed=args.seed, steps=args.steps
-        ),
+        *moments,
         *mcvalidate.validate_coupled(
             model, cert, kit, abstraction, eps,
             a=0.5 * dom[:, 1], a2=0.5 * dom[:, 0],

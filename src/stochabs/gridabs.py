@@ -23,7 +23,6 @@ import hashlib
 import itertools
 import math
 import re
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
@@ -227,26 +226,28 @@ def _integrate(sys, x, u, w, tau, steps, lo, hi):
     """steps fixed RK4 steps for every column of x.
 
     A column that turns non-finite stops stepping there and counts as
-    escaped; the drift is never evaluated at its later points.
+    escaped; the drift is never evaluated at its later points.  That test
+    follows every step, so numpy's overflow and invalid warnings are off.
     """
     out = np.empty_like(x)
     escaped = np.zeros(x.shape[1], bool)
     live = np.arange(x.shape[1])
     esc = escaped.copy()
     h = tau / steps
-    for _ in range(steps):
-        k1 = sys.drift_eval(x, u, w)
-        k2 = sys.drift_eval(x + 0.5 * h * k1, u, w)
-        k3 = sys.drift_eval(x + 0.5 * h * k2, u, w)
-        k4 = sys.drift_eval(x + h * k3, u, w)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        esc |= ((x < lo) | (x > hi)).any(axis=0)
-        if not np.isfinite(x).all():
-            finite = np.isfinite(x).all(axis=0)
-            out[:, live], escaped[live] = x, esc | ~finite
-            live, x, esc, u, w = live[finite], x[:, finite], esc[finite], u[:, finite], w[:, finite]
-            if not live.size:
-                return out, escaped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = sys.drift_eval(x, u, w)
+            k2 = sys.drift_eval(x + 0.5 * h * k1, u, w)
+            k3 = sys.drift_eval(x + 0.5 * h * k2, u, w)
+            k4 = sys.drift_eval(x + h * k3, u, w)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            esc |= ((x < lo) | (x > hi)).any(axis=0)
+            if not np.isfinite(x).all():
+                finite = np.isfinite(x).all(axis=0)
+                out[:, live], escaped[live] = x, esc | ~finite
+                live, x, esc, u, w = live[finite], x[:, finite], esc[finite], u[:, finite], w[:, finite]
+                if not live.size:
+                    return out, escaped
     out[:, live], escaped[live] = x, esc
     return out, escaped
 
@@ -675,9 +676,6 @@ def build_abstraction(
     dist_block_nodes=None,
     eps: float = 0.0,
     eps_tilde=(),
-    cert=None,
-    psi_tau: float = 0.0,
-    force: bool = False,
     max_cells: int = 250_000,
     workers: int = 1,
 ) -> FiniteAbstraction:
@@ -685,9 +683,8 @@ def build_abstraction(
 
     eta/omega are scalars or per-axis vectors; the state lattice must
     cover the domain (use snap_state_pitch to align).  dists is the list
-    of disturbance symbols (default: the singleton zero vector).  When a
-    certificate and eps are supplied, eta is validated against the pitch
-    bound unless force is set (then a warning is emitted).
+    of disturbance symbols (default: the singleton zero vector).  eps and
+    eps_tilde are recorded, not checked: the caller checks the pitches.
     """
     if not tau > 0:
         raise ParameterError(f"sampling period tau must be positive, got {tau}")
@@ -721,20 +718,6 @@ def build_abstraction(
     if dist_block_nodes is None:
         dist_block_nodes = ("",) * len(dist_blocks)
     eps_tilde = tuple(float(v) for v in eps_tilde)
-
-    if cert is not None and eps > 0.0:
-        from .certify import derive_bounds, pitch_upper_bound
-
-        kit = derive_bounds(sys, cert)
-        etn = max(eps_tilde) if eps_tilde else 0.0
-        bound = pitch_upper_bound(
-            kit, sys, tau, eps, max(omega_t) if omega_t else 0.0, eps_tilde_norm=etn, psi_tau=psi_tau
-        )
-        if max(eta_t) > bound + 1e-12:
-            msg = f"pitch {max(eta_t)} exceeds the admissible bound {bound}"
-            if not force:
-                raise AbstractionError(msg + " (pass force=True to build anyway)")
-            warnings.warn(msg + "; building anyway", stacklevel=2)
 
     cells = grid.count * len(inputs) * len(dists)
     if cells > max_cells:

@@ -445,11 +445,10 @@ def _closeness_report(sys, kit, x0, u, w, tau, steps, ckpt, vals, diverged):
     return report
 
 
-def _increment_report(sys, x0, tau, steps, ckpt, vals, diverged):
-    """Increment rows for every pair s <= t of the checkpoints ckpt (the columns of vals)."""
+def _increment_report(c, tau, steps, ckpt, vals, diverged):
+    """Increment rows, bound c |t - s|, for each pair s <= t of the checkpoints ckpt (vals' columns)."""
     ok = ~diverged
     dt = tau / steps
-    c = increment_constant(sys, float((x0**2).sum()), tau)
     report = BoundReport(check="increment_bound", n_paths=len(diverged), diverged=int(diverged.sum()))
     for i, ks in enumerate(ckpt):
         for j, kt in enumerate(ckpt):
@@ -498,9 +497,10 @@ def validate_increment_bound(
     Checked on the 5x5 grid of times in [0, tau].
     """
     x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
+    c = increment_constant(sys, float((x0**2).sum()), tau)
     ckpt = _checkpoint_steps(steps, _INCREMENT_FRACTIONS)
     vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
-    return _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
+    return _increment_report(c, tau, steps, ckpt, vals, diverged)
 
 
 def validate_moments(
@@ -521,13 +521,14 @@ def validate_moments(
     closeness ones, yields the same rows as the two separate suites.
     """
     x0, u, w, steps = _moment_config(sys, x0, u, w, steps)
+    c = increment_constant(sys, float((x0**2).sum()), tau)  # may overflow: before the ensemble
     ckpt = _checkpoint_steps(steps, _INCREMENT_FRACTIONS)
     vals, diverged = simulate_ensemble(sys, x0, u, w, tau, steps, n_paths, seed, ckpt)
     cols = [_INCREMENT_FRACTIONS.index(f) for f in _CLOSENESS_FRACTIONS]
     closeness = _closeness_report(
-        sys, kit, x0, u, w, tau, steps, [ckpt[c] for c in cols], vals[:, cols], diverged
+        sys, kit, x0, u, w, tau, steps, [ckpt[k] for k in cols], vals[:, cols], diverged
     )
-    return closeness, _increment_report(sys, x0, tau, steps, ckpt, vals, diverged)
+    return closeness, _increment_report(c, tau, steps, ckpt, vals, diverged)
 
 
 def _delta_iss_group(a, a2, u, u2, w, w2, n_paths, steps):

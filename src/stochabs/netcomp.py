@@ -33,7 +33,7 @@ from .gridabs import FiniteAbstraction, Lattice, _pack, snap_input_pitch, snap_s
 from .sysdsl import NetworkSpec
 
 ETA_FLOOR = 1e-6  # smallest state pitch a synthesis accepts
-VERIFY_SAMPLES = 2000  # points sampled by a synthesis's certificate check
+VERIFY_SAMPLES = 2000  # points sampled by verified_kit when it cannot prove a certificate
 MAX_SYMBOLS = 100_000  # largest disturbance alphabet of a node
 
 
@@ -92,11 +92,6 @@ def eps_tilde_vec(spec: NetworkSpec, i: int, etas=None) -> np.ndarray:
     return np.array([spec.eps[j] for j in nbrs], float)
 
 
-def psi_bound(spec: NetworkSpec, i: int, t: float) -> float:
-    """Neighbour-drift bound for node i at time t."""
-    return neighbor_drift_bound([spec.nodes[j] for j in spec.neighbors(i)], t)
-
-
 @dataclass
 class NodeSynthesis:
     name: str
@@ -125,32 +120,39 @@ class SynthesisResult:
         return {i: node.eta for i, node in enumerate(self.nodes)}
 
 
+def verified_kit(sys, cert, seed=0):
+    """Check cert: proved (linear-exact) when the drift is affine and the diffusion linear,
+    else sampled at VERIFY_SAMPLES points.  Returns (mode, kit, reason): the kit of
+    derive_bounds and None, or None and why cert was refuted."""
+    try:
+        report = verify_certificate(sys, cert, mode="linear-exact", seed=seed)
+    except CertificateError:
+        report = verify_certificate(sys, cert, mode="sampled", samples=VERIFY_SAMPLES, seed=seed)
+    if not report.accepted:
+        return report.mode, None, f"certificate refuted ({report.mode}, margin {report.margin:.3g})"
+    return report.mode, derive_bounds(sys, cert), None
+
+
 def synthesize_node(
     sys, cert, tau, eps=None, eps_tilde_norm=0.0, psi_tau=0.0, omega_cap=None, eta_cap=None, seed=0
 ) -> NodeSynthesis:
     """Pick (eta, omega) for one system at precision eps (None: max(1.25 floor, diameter / 4)).
 
-    The certificate is proved in mode linear-exact when the drift is affine
-    and the diffusion linear, and otherwise sampled at VERIFY_SAMPLES points.
-    After the floor test, the input pitch is halved from the input-box width
-    (capped by omega_cap) until the state pitch bound clears ETA_FLOOR; the
-    state pitch, capped by eps and eta_cap, and the input pitch are then
-    snapped to lattices that cover their boxes.
+    verified_kit checks the certificate.  After the floor test, the input
+    pitch is halved from the input-box width (capped by omega_cap) until the
+    state pitch bound clears ETA_FLOOR; the state pitch, capped by eps and
+    eta_cap, and the input pitch are then snapped to lattices that cover
+    their boxes.
     """
     if eps_tilde_norm < 0:
         raise ParameterError(f"disturbance mismatch norm must be nonnegative, got {eps_tilde_norm}")
     if omega_cap is not None and omega_cap <= 0:
         raise ParameterError(f"input pitch cap must be positive, got {omega_cap}")
     node = NodeSynthesis(sys.name, eps, psi_tau, eps_tilde_norm)
-    try:
-        report = verify_certificate(sys, cert, mode="linear-exact", seed=seed)
-    except CertificateError:
-        report = verify_certificate(sys, cert, mode="sampled", samples=VERIFY_SAMPLES, seed=seed)
-    node.mode = report.mode
-    if not report.accepted:
-        node.reason = f"certificate refuted ({report.mode}, margin {report.margin:.3g})"
+    node.mode, node.kit, node.reason = verified_kit(sys, cert, seed)
+    if node.reason:
         return node
-    node.kit = kit = derive_bounds(sys, cert)
+    kit = node.kit
     node.eps_floor = floor = precision_lower_bound(
         kit, sys, tau, eps_tilde_norm=eps_tilde_norm, psi_tau=psi_tau
     )
@@ -184,7 +186,7 @@ def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
     for i, sys in enumerate(spec.nodes):
         etv = eps_tilde_vec(spec, i)
         etn = float(etv.max()) if etv.size else 0.0
-        psi_tau = psi_bound(spec, i, spec.tau)
+        psi_tau = neighbor_drift_bound([spec.nodes[j] for j in spec.neighbors(i)], spec.tau)
         try:
             cert = QuadraticCertificate.from_model(sys)
         except CertificateError as exc:
@@ -200,22 +202,18 @@ def synthesize_params(spec: NetworkSpec, seed: int = 0) -> SynthesisResult:
 def build_node_abstraction(
     spec: NetworkSpec, i: int, etas, omegas, max_cells: int = 250_000, workers: int = 1
 ) -> FiniteAbstraction:
-    """Build node i's abstraction with its neighbour-product disturbances
-    (a synthesized pitch always passes its certificate's pitch check)."""
+    """Build node i's abstraction with its neighbour-product disturbances, at
+    pitches that synthesize_params checked against the node's verified certificate."""
     # looked up per call: perfbench/layers.py traces gridabs.build_abstraction by attribute
     from .gridabs import build_abstraction
 
     sys = spec.nodes[i]
     symbols, blocks, block_nodes = build_wtilde(spec, i, etas)
     etv = eps_tilde_vec(spec, i, etas=etas)
-    try:
-        cert = QuadraticCertificate.from_model(sys)
-    except CertificateError:
-        cert = None
     abs_i = build_abstraction(
         sys, spec.tau, etas[i], omegas[i] if sys.m else 0.0, dists=symbols, dist_blocks=blocks,
-        dist_block_nodes=block_nodes, eps=spec.eps[i], eps_tilde=tuple(etv), cert=cert,
-        psi_tau=psi_bound(spec, i, spec.tau), max_cells=max_cells, workers=workers,
+        dist_block_nodes=block_nodes, eps=spec.eps[i], eps_tilde=tuple(etv),
+        max_cells=max_cells, workers=workers,
     )
     # Composition wires blocks by network node name, so label the part
     # with its node name rather than the underlying system name.

@@ -157,7 +157,8 @@ def test_criterion_6_deterministic_tracking(scalar_det_model, det_cert, det_kit)
     omega = gridabs.snap_input_pitch(model.input_box, 0.04)
     bound = certify.pitch_upper_bound(kit, model, tau, eps, omega[0])
     eta = gridabs.snap_state_pitch(model.domain, bound)
-    a = gridabs.build_abstraction(model, tau, eta, omega, eps=eps, cert=cert)
+    a = gridabs.build_abstraction(model, tau, eta, omega, eps=eps)
+    assert max(a.eta) <= bound
     ilat = gridabs.input_lattice(model.input_box, a.omega)
     input_index = {coords: k for k, coords in enumerate(a.inputs)}
     level = kit.alpha_low(eps**2)
@@ -195,9 +196,8 @@ def test_criterion_7_monte_carlo_bounds(scalar_model, scalar_cert, scalar_kit):
     omega = gridabs.snap_input_pitch(model.input_box, 0.2)
     bound = certify.pitch_upper_bound(kit, model, tau, eps, omega[0], eps_tilde_norm=etn)
     eta = gridabs.snap_state_pitch(model.domain, min(bound, eps))
-    a = gridabs.build_abstraction(
-        model, tau, eta, omega, eps=eps, eps_tilde=(etn,), cert=cert
-    )
+    a = gridabs.build_abstraction(model, tau, eta, omega, eps=eps, eps_tilde=(etn,))
+    assert max(a.eta) <= bound
     n = 10_000
     reports = [
         mcvalidate.validate_moment_closeness(model, kit, [0.5], tau, n_paths=n, seed=SEED),

@@ -114,6 +114,42 @@ def test_abstract_rejects_invalid_pitch(tmp_path, capsys):
     assert "admissible" in capsys.readouterr().err
 
 
+def test_pitch_validation_against_certificate(tmp_path, capsys):
+    argv = ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--omega", "0.1",
+            "--eps", "3.2", "--eps-tilde-norm", "0.1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "admissible" in capsys.readouterr().err and not list(tmp_path.glob("*.abs"))
+    assert main([*argv, "--force"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: pitch 0.25 exceeds the admissible bound ")
+    assert err[0].endswith("; building anyway") and (tmp_path / "scalar1.abs").exists()
+
+
+def test_abstract_checks_the_pitch_against_a_verified_certificate(tmp_path, capsys):
+    # kappa 50 makes every pitch admissible, but the certificate is refuted
+    argv = ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--omega", "0.1",
+            "--eps", "3.2", "--kappa", "50", "--P", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "infeasible: certificate refuted (linear-exact, margin 98.2)\n"
+    assert not list(tmp_path.glob("*.abs"))
+    assert main([*argv, "--force"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: certificate refuted (linear-exact, margin 98.2); building anyway\n"
+    )
+
+
+def test_abstract_reads_a_certificate_only_for_eps(tmp_path, capsys):
+    nocert = tmp_path / "nocert.sys"
+    nocert.write_text("".join(line for line in (DATA / "scalar.sys").read_text().splitlines(True)
+                              if not line.startswith("cert ")))
+    argv = ["abstract", str(nocert), "--tau", "0.5", "--eta", "0.25", "--omega", "0.1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*argv, "--eps", "3.2"]) == 2
+    assert "no certificate available" in capsys.readouterr().err
+
+
 def test_network_abstract_compose_bisim(tmp_path, capsys):
     out = tmp_path / "net"
     assert main(["abstract", PAIR, "--out", str(out)]) == 0
@@ -159,6 +195,28 @@ def test_validate_refuted_certificate_is_infeasible(tmp_path, capsys):
     argv = ["validate", SCALAR, "--tau", "0.5", "--kappa", "0.9", "--P", "1", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("infeasible: certificate refuted (linear-exact, margin")
+
+
+def test_validate_bound_overflow_fails_before_any_flow(tmp_path, capsys, monkeypatch):
+    # exp(alpha tau) in the increment constant overflows at tau = 1e5; at
+    # that tau every cell's flow keeps doubling its substeps for seconds
+    calls = []
+
+    def spy(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return called
+
+    monkeypatch.setattr(gridabs, "build_abstraction", spy("build_abstraction"))
+    monkeypatch.setattr(gridabs, "flow_nominal", spy("flow_nominal"))
+    monkeypatch.setattr(mcvalidate, "flow_nominal", spy("flow_nominal"))
+    argv = ["validate", SCALAR, "--tau", "1e5", "--paths", "10", "--pairs", "2", "--steps", "8",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric overflow in 'validate'") and err.count("\n") == 1
 
 
 def test_validate_builds_with_the_synthesized_pitches(tmp_path, monkeypatch):

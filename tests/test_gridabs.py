@@ -185,18 +185,6 @@ def test_max_cells_cap(scalar_model):
         build_abstraction(scalar_model, 0.5, 0.001, 0.001, max_cells=100)
 
 
-def test_pitch_validation_against_certificate(scalar_model, scalar_cert):
-    with pytest.raises(AbstractionError, match="admissible"):
-        build_abstraction(
-            scalar_model, 0.5, 0.25, 0.1, eps=3.2, eps_tilde=(0.1,), cert=scalar_cert
-        )
-    with pytest.warns(UserWarning, match="building anyway"):
-        build_abstraction(
-            scalar_model, 0.5, 0.25, 0.1, eps=3.2, eps_tilde=(0.1,),
-            cert=scalar_cert, force=True,
-        )
-
-
 def test_serialize_roundtrip(scalar_model):
     a = build_abstraction(scalar_model, 0.5, 0.25, 0.1, eps=3.2, eps_tilde=(0.1,))
     text = a.serialize()
@@ -378,7 +366,7 @@ def test_flow_batch_matches_single():
     assert batch_model.points == single_model.points
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_blowup_raises():
     # from (1, -1) the x1^2 term blows up well before tau = 3, while the
     # other two cells converge
@@ -389,7 +377,7 @@ def test_flow_blowup_raises():
         flow_nominal(_quadratic_2d(), x0[:, 1], None, None, 3.0, max_substeps=256)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_blowup_fails_fast():
     # the cells near (1, -1) blow up before tau = 1 at every step count;
     # doubling them to the default cap of 2^20 substeps took minutes
@@ -401,7 +389,7 @@ def test_flow_blowup_fails_fast():
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stiff_flow_keeps_doubling():
     # x1' = -300 x1^3 contracts, but RK4 from x1 = +-1 overflows at 16, 32
     # and 64 steps (h * Lf > 1 with Lf = 900) and is finite from 128 on

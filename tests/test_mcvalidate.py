@@ -408,9 +408,7 @@ def _frozen_params(model, cert, kit, tau, eps, etn):
 def test_bisim_step_passes(scalar_model, scalar_cert, scalar_kit):
     tau, eps, etn = 0.5, 3.2, 0.1
     eta, omega = _frozen_params(scalar_model, scalar_cert, scalar_kit, tau, eps, etn)
-    a = gridabs.build_abstraction(
-        scalar_model, tau, eta, omega, eps=eps, eps_tilde=(etn,), cert=scalar_cert
-    )
+    a = gridabs.build_abstraction(scalar_model, tau, eta, omega, eps=eps, eps_tilde=(etn,))
     rep = validate_bisim_step(
         scalar_model, scalar_cert, scalar_kit, a, eps, eps_tilde_norm=etn,
         n_pairs=40, paths_per_pair=50, seed=SEED,
@@ -423,9 +421,7 @@ def test_coupled_suites_match_separate_suites(steps, scalar_model, scalar_cert, 
     # 250 steps: delta_iss rounds up to 252, so each suite runs its own pass
     tau, eps, etn = 0.5, 3.2, 0.1
     eta, omega = _frozen_params(scalar_model, scalar_cert, scalar_kit, tau, eps, etn)
-    a = gridabs.build_abstraction(
-        scalar_model, tau, eta, omega, eps=eps, eps_tilde=(etn,), cert=scalar_cert
-    )
+    a = gridabs.build_abstraction(scalar_model, tau, eta, omega, eps=eps, eps_tilde=(etn,))
     cfg = dict(a=[0.5], a2=[-0.5], u=[0.1], u2=[-0.1], w=[0.3], w2=[-0.3])
     delta, bisim = validate_coupled(
         scalar_model, scalar_cert, scalar_kit, a, eps, **cfg, eps_tilde_norm=etn,
@@ -447,7 +443,7 @@ def test_bisim_step_deterministic_contraction(scalar_det_model, det_cert, det_ki
     omega = gridabs.snap_input_pitch(scalar_det_model.input_box, 0.0333333)
     bound = certify.pitch_upper_bound(det_kit, scalar_det_model, tau, eps, omega[0])
     eta = gridabs.snap_state_pitch(scalar_det_model.domain, bound)
-    a = gridabs.build_abstraction(scalar_det_model, tau, eta, omega, eps=eps, cert=det_cert)
+    a = gridabs.build_abstraction(scalar_det_model, tau, eta, omega, eps=eps)
     rep = validate_bisim_step(
         scalar_det_model, det_cert, det_kit, a, eps,
         n_pairs=150, paths_per_pair=1, seed=SEED, steps=512,
@@ -464,10 +460,7 @@ def test_bisim_step_negative_control(scalar_det_model, det_cert, det_kit):
     bound = certify.pitch_upper_bound(det_kit, scalar_det_model, tau, eps, omega[0])
     eta_bad = gridabs.snap_state_pitch(scalar_det_model.domain, 12.0 * bound)
     assert eta_bad[0] >= 10.0 * bound
-    with pytest.warns(UserWarning):
-        bad = gridabs.build_abstraction(
-            scalar_det_model, tau, eta_bad, omega, eps=eps, cert=det_cert, force=True
-        )
+    bad = gridabs.build_abstraction(scalar_det_model, tau, eta_bad, omega, eps=eps)
     rep = validate_bisim_step(
         scalar_det_model, det_cert, det_kit, bad, eps,
         n_pairs=2000, paths_per_pair=1, seed=2, steps=512,
