@@ -14,18 +14,24 @@ successor sets.
 A relation is two read-only index arrays of its pairs, ascending in
 row-major order: the order of ``np.nonzero`` and of relation files.
 
-When both sides are one abstraction by value (``s1 == s2``, as when
-the CLI reads one file twice), both procedures run on arrays.  The
-relation is an (n, n) bool matrix; the eps-close candidates are built
-axis by axis.  Each round takes the related pairs from one np.nonzero
-and walks them in row-major slices of at most STEP_LOOKUPS relation
-lookups, gathering the relation at every pair of successors of a slice
-at once, then removes every failing pair (Jacobi rounds, as in the
-loops).  The greatest fixpoint does not depend on removal order, so
-the result is the loops'.
-Distinct sides still take the loops over Python sets (_responds, _table):
-the same kernel serves them, but moving them waits for a benchmark that
-measures peak memory correctly over several fast rounds.
+Both sides share the array code, whether they are one abstraction or
+two.  The eps-close state candidates and the admissible disturbance
+pairs are one builder (_close), axis by axis in row blocks.
+check_relation puts the relation in an (n1, n2) bool matrix, takes the
+related pairs from one np.nonzero and walks them in row-major slices of
+at most STEP_LOOKUPS relation lookups, gathering the relation at every
+pair of successors of a slice at once; clause (c) reads the transpose.
+So it names the first failing pair in the table's order with its first
+failing clause.  The self fixpoint (``s1 == s2`` by value, as when the
+CLI reads one file twice) runs the same kernel in Jacobi rounds,
+removing every failing pair after each; the greatest fixpoint does not
+depend on removal order.
+Only the distinct fixpoint rounds still take loops over a Python set
+(_responds, _table): on arrays, ring3's benchmark round would fall to
+~3 s and make many rounds, and the benchmark reads a child's peak
+memory as the runner's high-water mark after the first round (57.6 MB
+in round 0, 136.3 MB in round 1), so they wait for a benchmark that
+reads each round's own peak.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from .gridabs import FiniteAbstraction, _check_precisions, _g17
 from .sysdsl import read_text
 
 _TOL = 1e-12
-#: Most relation lookups (pairs x inputs^2 x admissible disturbance pairs
-#: x k^2, a byte each) one array step of the self-bisimulation makes: bounds
-#: its working arrays whatever the relation's density.
+#: Most relation lookups (pairs x inputs1 x inputs2 x admissible disturbance
+#: pairs x k1 x k2, a byte each) one array step of a relation check makes, and
+#: most bytes of float differences one row block of _close holds: bounds the
+#: working arrays whatever the relation's density.
 STEP_LOOKUPS = 1 << 18
 #: Pair lines of a relation file formatted in one step.
 LINE_BLOCK = 1 << 16
@@ -94,12 +101,27 @@ class CheckResult:
     clause: str | None = None  # 'a', 'b' or 'c'
 
 
-def _state_dist(s1, s2, i, j):
-    a, b = s1.states[i], s2.states[j]
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+def _points(rows, width):
+    """Coordinate tuples (states or disturbances) as an (n, width) float array."""
+    return np.asarray(rows, float).reshape(len(rows), width)
+
+
+def _close(x1, x2, bound):
+    """The (n1, n2) bool matrix of row pairs of x1 and x2 within bound[a] + _TOL
+    on every axis a, built axis by axis in row blocks of at most STEP_LOOKUPS
+    bytes of float differences."""
+    C = np.ones((len(x1), len(x2)), bool)
+    rows = max(1, STEP_LOOKUPS // (8 * len(x2) or 1))
+    for a in range(0, len(x1), rows):
+        for axis, b in enumerate(bound):
+            d = x1[a : a + rows, axis, None] - x2[None, :, axis]
+            C[a : a + rows] &= np.abs(d, out=d) <= b + _TOL
+    return C
 
 
 def _admissible_dist_pairs(s1, s2, eps_tilde):
+    """The (2, P) index array of the disturbance pairs (d1, d2) whose
+    per-block mismatch is within eps_tilde, in row-major order."""
     if s1.dist_blocks != s2.dist_blocks:
         raise ModelError(f"incompatible disturbance structure: {s1.dist_blocks} vs {s2.dist_blocks}")
     blocks = s1.dist_blocks
@@ -107,13 +129,9 @@ def _admissible_dist_pairs(s1, s2, eps_tilde):
         eps_tilde = (0.0,) * len(blocks)
     if len(eps_tilde) != len(blocks):
         raise ModelError(f"eps_tilde has {len(eps_tilde)} components, disturbances have {len(blocks)} blocks")
-    pairs = []
-    for d1, w1 in enumerate(s1.dists):
-        for d2, w2 in enumerate(s2.dists):
-            e = vector_metric(w1, w2, blocks)
-            if all(v <= b + _TOL for v, b in zip(e, eps_tilde)):
-                pairs.append((d1, d2))
-    return pairs
+    width = sum(blocks)
+    close = _close(_points(s1.dists, width), _points(s2.dists, width), np.repeat(eps_tilde, blocks))
+    return np.array(np.nonzero(close))
 
 
 def _table(a: FiniteAbstraction):
@@ -125,12 +143,14 @@ def _table(a: FiniteAbstraction):
 def _responds(challenger, responder, x_c, x_r, pairs, adm, flip):
     """Challenger side (b)-style check for one related pair.
 
-    challenger and responder are _table tuples.  flip=False: challenger
-    is S1 (pairs indexed (s, t)); flip=True: challenger is S2 and
-    membership is tested transposed.
+    challenger and responder are _table tuples; adm is the challenger's
+    and the responder's disturbance indices of the admissible pairs.
+    flip=False: challenger is S1 (pairs indexed (s, t)); flip=True:
+    challenger is S2 and membership is tested transposed.
     """
     rows_c, n_uc, n_dc = challenger
     rows_r, n_ur, n_dr = responder
+    adm = list(zip(*adm))
     for u_c in range(n_uc):
         matched = False
         for u_r in range(n_ur):
@@ -179,33 +199,20 @@ def _answers(Rx, succ_c, succ_r, I, J, adm):
     return hit.any(axis=5).all(axis=(3, 4)).any(axis=2).all(axis=1)
 
 
-def _self_candidates(s, eps):
-    """The (n, n) bool matrix of eps-close state pairs, built axis by axis
-    in row blocks of at most STEP_LOOKUPS bytes of float differences."""
-    x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
-    C = np.ones((len(x), len(x)), bool)
-    rows = max(1, STEP_LOOKUPS // (8 * len(x) or 1))
-    for a in range(0, len(x), rows):
-        for axis in range(s.dim):
-            d = x[a : a + rows, axis, None] - x[None, :, axis]
-            C[a : a + rows] &= np.abs(d, out=d) <= eps + _TOL
-    return C
-
-
-def _self_failures(s, R, eps, adm):
+def _failures(s1, s2, R, eps, adm):
     """The related pairs (I, J) of R in row-major order, and the first
     clause each fails against R (0 none, 1 to 3 for 'a' to 'c'), in
     slices that make at most STEP_LOOKUPS relation lookups (at least one
-    pair each).  adm is the list of admissible disturbance pairs."""
-    x = np.asarray(s.states, float).reshape(len(s.states), s.dim)
-    adm = np.array(adm, np.intp).reshape(-1, 2).T
+    pair each).  adm is the (2, P) array of admissible disturbance pairs."""
+    x1, x2 = _points(s1.states, s1.dim), _points(s2.states, s2.dim)
     Rx, Rt = _padded(R), _padded(R.T)
     tests = (
-        lambda I, J: (np.abs(x[I] - x[J]) <= eps + _TOL).all(axis=1),
-        lambda I, J: _answers(Rx, s.succ, s.succ, I, J, adm),
-        lambda I, J: _answers(Rt, s.succ, s.succ, J, I, adm[::-1]),
+        lambda I, J: (np.abs(x1[I] - x2[J]) <= eps + _TOL).all(axis=1),
+        lambda I, J: _answers(Rx, s1.succ, s2.succ, I, J, adm),
+        lambda I, J: _answers(Rt, s2.succ, s1.succ, J, I, adm[::-1]),
     )
-    step = max(1, STEP_LOOKUPS // (s.succ.shape[1] ** 2 * adm.shape[1] * s.succ.shape[3] ** 2 or 1))
+    (_, u1, _, k1), (_, u2, _, k2) = s1.succ.shape, s2.succ.shape
+    step = max(1, STEP_LOOKUPS // (u1 * u2 * adm.shape[1] * k1 * k2 or 1))
     I_all, J_all = np.nonzero(R)
     for a in range(0, I_all.size, step):
         I, J = I_all[a : a + step], J_all[a : a + step]
@@ -219,8 +226,8 @@ def _self_failures(s, R, eps, adm):
 def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTable) -> CheckResult:
     """Verify that rel is a disturbance bisimulation between s1 and s2.
 
-    An invalid result names the smallest failing pair and the first clause
-    it fails.
+    An invalid result names the first failing pair in the table's order
+    (the smallest) and the first clause it fails.
     """
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
@@ -230,24 +237,13 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
         p = outside.argmax()  # the first in the table's order, so the smallest
         raise FormatError(f"relation pair ({rel.first[p]}, {rel.second[p]}) is outside the {n1} x {n2} states")
     adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
-    if s1 == s2:
-        R = np.zeros((n1, n1), bool)
-        R[rel.first, rel.second] = True
-        for I, J, first in _self_failures(s1, R, rel.eps, adm):
-            bad = np.flatnonzero(first)
-            if bad.size:
-                p = bad[0]
-                return CheckResult(valid=False, pair=(int(I[p]), int(J[p])), clause="abc"[first[p] - 1])
-        return CheckResult(valid=True)
-    adm_flip = [(d2, d1) for (d1, d2) in adm]
-    t1, t2 = _table(s1), _table(s2)
-    for (i, j) in zip(rel.first.tolist(), rel.second.tolist()):
-        if _state_dist(s1, s2, i, j) > rel.eps + _TOL:
-            return CheckResult(valid=False, pair=(i, j), clause="a")
-        if not _responds(t1, t2, i, j, rel.pairs, adm, flip=False):
-            return CheckResult(valid=False, pair=(i, j), clause="b")
-        if not _responds(t2, t1, j, i, rel.pairs, adm_flip, flip=True):
-            return CheckResult(valid=False, pair=(i, j), clause="c")
+    R = np.zeros((n1, n2), bool)
+    R[rel.first, rel.second] = True
+    for I, J, first in _failures(s1, s2, R, rel.eps, adm):
+        bad = np.flatnonzero(first)
+        if bad.size:
+            p = bad[0]
+            return CheckResult(valid=False, pair=(int(I[p]), int(J[p])), clause="abc"[first[p] - 1])
     return CheckResult(valid=True)
 
 
@@ -267,29 +263,24 @@ def largest_bisimulation(
     eps_tilde = tuple(eps_tilde)
     _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
+    R = _close(_points(s1.states, s1.dim), _points(s2.states, s2.dim), (eps,) * s1.dim)
     if s1 == s2:
-        R = _self_candidates(s1, eps)
         while True:
-            bad = [(I[f > 0], J[f > 0]) for I, J, f in _self_failures(s1, R, eps, adm)]
+            bad = [(I[f > 0], J[f > 0]) for I, J, f in _failures(s1, s2, R, eps, adm)]
             if not any(I.size for I, _ in bad):
                 break
             for I, J in bad:
                 R[I, J] = False
         return RelationTable(*np.nonzero(R), eps, eps_tilde)
-    adm_flip = [(d2, d1) for (d1, d2) in adm]
     t1, t2 = _table(s1), _table(s2)
-    current = {
-        (i, j)
-        for i in range(len(s1.states))
-        for j in range(len(s2.states))
-        if _state_dist(s1, s2, i, j) <= eps + _TOL
-    }
+    adm = adm.tolist()
+    current = set(zip(*(ix.tolist() for ix in np.nonzero(R))))
     while True:
         bad = [
             pair
             for pair in current
             if not _responds(t1, t2, pair[0], pair[1], current, adm, flip=False)
-            or not _responds(t2, t1, pair[1], pair[0], current, adm_flip, flip=True)
+            or not _responds(t2, t1, pair[1], pair[0], current, adm[::-1], flip=True)
         ]
         if not bad:
             break

@@ -218,12 +218,10 @@ def cmd_abstract(args):
         omega = gridabs.snap_input_pitch(model.input_box, min(widths)) if widths else 0.0
     eps, kit = args.eps or 0.0, None
     if eps > 0.0:  # the pitch is checked against the bound of a verified certificate
-        try:
-            cert = _certificate(model, args)
-        except StochabsError:
+        if args.kappa is None and args.p_matrix is None and model.cert_p is None:
             _unchecked("no certificate available to validate the pitch", args.force)
-        else:
-            _, kit, reason = netcomp.verified_kit(model, cert, args.seed)
+        else:  # a malformed override or cert line fails with its own message
+            _, kit, reason = netcomp.verified_kit(model, _certificate(model, args), args.seed)
             if reason and not args.force:
                 print(f"infeasible: {reason}", file=_sys.stderr)
                 return 1

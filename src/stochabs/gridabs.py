@@ -513,8 +513,11 @@ def _parse_body(lines) -> FiniteAbstraction:
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{label} is not finite")
     blocks = [t.rsplit(":", 1) for t in lines[pos + 2].split()[1:]]
+    sizes = tuple(int(b) for b, _ in blocks)
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"disturbance block size {min(sizes)} is negative")
     sections, pos = [], pos + 3
-    widths = (len(eta), len(omega), sum(int(b) for b, _ in blocks))
+    widths = (len(eta), len(omega), sum(sizes))
     for label, width in zip(("state", "input", "dist"), widths):
         count = int(lines[pos].split()[1])
         items = tuple(tuple(map(float, ln.split()[1:])) for ln in lines[pos + 1 : pos + 1 + count])
@@ -536,7 +539,7 @@ def _parse_body(lines) -> FiniteAbstraction:
         states=sections[0],
         inputs=sections[1],
         dists=sections[2],
-        dist_blocks=tuple(int(b) for b, _ in blocks),
+        dist_blocks=sizes,
         dist_block_nodes=tuple("" if n == "-" else n for _, n in blocks),
         node_names=tuple(node_names),
         node_dims=tuple(map(int, node_dims)) if node_dims else (len(eta),),

@@ -1,5 +1,6 @@
 import copy
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -408,15 +409,32 @@ def test_self_check_relation_matches_sorted_oracle():
         symmetric_invalid += not _sorted_oracle_check(s, s, relation(sym, eps, et))[0]
         asymmetric += asym != frozenset((j, i) for (i, j) in asym)
     assert symmetric_invalid >= 10 and asymmetric >= 10
+    clauses = []
+    for _ in range(30):  # two distinct abstractions
+        (s1, eps, et), (s2, _, _) = _random_self_instance(rng), _random_self_instance(rng)
+        n1, n2 = len(s1.states), len(s2.states)
+        close = frozenset((i, j) for i in range(n1) for j in range(n2)
+                          if abs(s1.states[i][0] - s2.states[j][0]) <= eps)
+        some = frozenset((i, j) for i in range(n1) for j in range(n2) if rng.random() < 0.6)
+        for pairs in (close, some, largest_bisimulation(s1, s2, eps, et).pairs):
+            rel = relation(pairs, eps=eps, eps_tilde=et)
+            mine = check_relation(s1, s2, rel)
+            assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s1, s2, rel)
+            clauses.append(mine.clause)
+    assert {None, "a", "b", "c"} <= set(clauses)
 
 
 def test_self_bisimulation_makes_no_responds_call(monkeypatch, scalar_model):
     rng = np.random.default_rng(99)
     instances = [_random_self_instance(rng) for _ in range(10)]
     instances.append((gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1), 0.6, (0.0,)))
+    distinct = []  # relations between two abstractions, found before _responds is refused
+    for s1, s2, eps, et in _distinct_cases(rng, 5):
+        rel = largest_bisimulation(s1, s2, eps, et)
+        distinct += [(s1, s2, rel), (s1, s2, RelationTable(rel.first[::2], rel.second[::2], eps, et))]
 
     def refused(*args, **kwargs):
-        raise AssertionError("the self path called _responds")
+        raise AssertionError("the array path called _responds")
 
     monkeypatch.setattr(bisimcheck, "_responds", refused)
     multi_round = 0
@@ -427,6 +445,12 @@ def test_self_bisimulation_makes_no_responds_call(monkeypatch, scalar_model):
         assert check_relation(s, s, rel).valid
         multi_round += len(sizes) > 2
     assert multi_round > 0
+    invalid = 0
+    for s1, s2, rel in distinct:
+        mine = check_relation(s1, s2, rel)
+        assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s1, s2, rel)
+        invalid += not mine.valid
+    assert 0 < invalid < len(distinct)
 
 
 PLANE_TEXT = """system plane
@@ -443,12 +467,12 @@ const Lf=3 Lsigma=0.005 K=4
 """
 
 
-def _plane():
+def _plane(text=PLANE_TEXT):
     """A 2-D tanh system on a lattice of spacing 0.2 (55 states, 3 inputs,
     3 disturbances).  0.2 is not a binary fraction, so some coordinate
     gaps of one spacing exceed 0.2 by less than the tolerance."""
     dists = ((-0.5,), (0.0,), (0.5,))
-    return gridabs.build_abstraction(parse_system(PLANE_TEXT), 0.5, 0.1, 0.1, dists=dists), 0.2
+    return gridabs.build_abstraction(parse_system(text), 0.5, 0.1, 0.1, dists=dists), 0.2
 
 
 def _composed_pair(pair_net):
@@ -464,6 +488,18 @@ def _multi_dim_cases(pair_net):
     plane, h = _plane()
     pair, spacing = _composed_pair(pair_net)
     return [(plane, h, (0.0,)), (plane, h, (0.5,)), (plane, 2 * h, (0.5,)), (pair, spacing, ())]
+
+
+def _distinct_cases(rng, random_pairs):
+    """(s1, s2, eps, eps_tilde) on two distinct abstractions: the plane and its
+    twin with a stronger coupling, both ways, then pairs of random systems."""
+    plane, h = _plane()
+    twin, _ = _plane(PLANE_TEXT.replace("0.2*tanh(x2)", "0.3*tanh(x2)"))
+    cases = [(plane, twin, h, (0.0,)), (twin, plane, 2 * h, (0.5,))]
+    for _ in range(random_pairs):
+        (s1, eps, et), (s2, _, _) = _random_self_instance(rng), _random_self_instance(rng)
+        cases.append((s1, s2, eps, et))
+    return cases
 
 
 def test_multi_dim_self_bisimulation_matches_oracles(pair_net):
@@ -489,47 +525,51 @@ def test_multi_dim_self_bisimulation_matches_oracles(pair_net):
 
 def test_self_path_never_builds_pairs(monkeypatch, tmp_path, pair_net):
     rng = np.random.default_rng(3)
-    cases = [*_multi_dim_cases(pair_net), _random_self_instance(rng)]
-    expected = [largest_bisimulation(s, s, eps, et).pairs for s, eps, et in cases]
+    cases = [(s, s, eps, et) for s, eps, et in [*_multi_dim_cases(pair_net), _random_self_instance(rng)]]
+    cases += _distinct_cases(rng, 1)
+    expected = [largest_bisimulation(s1, s2, eps, et).pairs for s1, s2, eps, et in cases]
 
     def refused(self):
-        raise AssertionError("the self path built the frozenset of pairs")
+        raise AssertionError("the array path built the frozenset of pairs")
 
     monkeypatch.setattr(RelationTable, "pairs", property(refused))
-    for (s, eps, et), pairs in zip(cases, expected):
-        rel = largest_bisimulation(s, s, eps, et)
+    for (s1, s2, eps, et), pairs in zip(cases, expected):
+        rel = largest_bisimulation(s1, s2, eps, et)
         path = tmp_path / "r.rel"
-        save_relation(rel, s, s, path)
+        save_relation(rel, s1, s2, path)
         loaded, _, _ = load_relation(path)
-        assert check_relation(s, s, loaded).valid and len(loaded) == len(pairs)
+        assert check_relation(s1, s2, loaded).valid and len(loaded) == len(pairs)
         assert set(zip(loaded.first.tolist(), loaded.second.tolist())) == pairs
 
 
-def _lookups_per_pair(s, et):
-    """Relation lookups one clause (b) or (c) test makes for one pair of s."""
-    _, inputs, _, k = s.succ.shape
-    return inputs * inputs * len(bisimcheck._admissible_dist_pairs(s, s, et)) * k * k
+def _lookups_per_pair(s1, s2, et):
+    """Relation lookups one clause (b) or (c) test makes for one pair of s1 x s2."""
+    (_, u1, _, k1), (_, u2, _, k2) = s1.succ.shape, s2.succ.shape
+    return u1 * u2 * bisimcheck._admissible_dist_pairs(s1, s2, et).shape[1] * k1 * k2
 
 
 def test_step_size_does_not_change_results(monkeypatch, pair_net):
     rng = np.random.default_rng(5)
     cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(5))]
+    cases = [(s, s, eps, et) for s, eps, et in cases] + _distinct_cases(rng, 3)
     expected = []
-    for s, eps, et in cases:
-        rel = largest_bisimulation(s, s, eps, et)
+    for s1, s2, eps, et in cases:
+        rel = largest_bisimulation(s1, s2, eps, et)
         half = RelationTable(rel.first[::2], rel.second[::2], eps=eps, eps_tilde=et)
-        expected.append((rel, half, check_relation(s, s, rel), check_relation(s, s, half)))
+        expected.append((rel, half, check_relation(s1, s2, rel), check_relation(s1, s2, half)))
+    assert not all(half_check.valid for _, _, _, half_check in expected)
     for pairs_per_step in (1, 2, 7):
-        for (s, eps, et), (rel, half, rel_check, half_check) in zip(cases, expected):
-            monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", pairs_per_step * _lookups_per_pair(s, et))
-            assert largest_bisimulation(s, s, eps, et).pairs == rel.pairs
-            assert check_relation(s, s, rel) == rel_check
-            assert check_relation(s, s, half) == half_check
+        for (s1, s2, eps, et), (rel, half, rel_check, half_check) in zip(cases, expected):
+            monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", pairs_per_step * _lookups_per_pair(s1, s2, et))
+            assert largest_bisimulation(s1, s2, eps, et).pairs == rel.pairs
+            assert check_relation(s1, s2, rel) == rel_check
+            assert check_relation(s1, s2, half) == half_check
 
 
 def test_no_step_exceeds_the_lookup_budget(monkeypatch, pair_net):
     rng = np.random.default_rng(6)
     cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(3))]
+    cases = [(s, s, eps, et) for s, eps, et in cases] + _distinct_cases(rng, 3)
     answers = bisimcheck._answers
     calls = []
 
@@ -539,10 +579,29 @@ def test_no_step_exceeds_the_lookup_budget(monkeypatch, pair_net):
         return answers(Rx, succ_c, succ_r, I, J, adm)
 
     monkeypatch.setattr(bisimcheck, "_answers", counted)
-    for s, eps, et in cases:
-        budget = 5 * _lookups_per_pair(s, et)
+    for s1, s2, eps, et in cases:
+        budget = 5 * _lookups_per_pair(s1, s2, et)
         monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", budget)
         calls.clear()
-        rel = largest_bisimulation(s, s, eps, et)
-        assert check_relation(s, s, rel).valid
-        assert calls and max(calls) <= budget
+        rel = largest_bisimulation(s1, s2, eps, et)
+        assert check_relation(s1, s2, rel).valid
+        # the self fixpoint calls _answers; on distinct sides only the check does
+        assert (calls or s1 != s2 and not len(rel)) and max(calls, default=0) <= budget
+
+
+def test_admissible_dist_pairs_match_the_vector_metric_loop():
+    rng = np.random.default_rng(12)
+    structures = [(), (0,), (1, 0, 2), *(tuple(rng.integers(0, 3, int(rng.integers(1, 4))).tolist())
+                                         for _ in range(30))]
+    for blocks in structures:
+        def side():
+            dists = rng.uniform(-1, 1, (int(rng.integers(1, 5)), sum(blocks))).round(1)
+            return SimpleNamespace(dist_blocks=blocks, dists=tuple(map(tuple, dists.tolist())))
+
+        s1, s2 = side(), side()
+        et = tuple(rng.uniform(0, 1, len(blocks)).round(1).tolist())
+        for eps_tilde in (et, ()):  # () reads as 0 on every block
+            adm = bisimcheck._admissible_dist_pairs(s1, s2, eps_tilde)
+            assert adm.shape[0] == 2 and adm.T.tolist() == [list(p) for p in _literal_adm(s1, s2, eps_tilde)]
+        with pytest.raises(ModelError, match=f"eps_tilde has {len(et) + 1} components"):
+            bisimcheck._admissible_dist_pairs(s1, s2, (*et, 0.5))

@@ -150,6 +150,19 @@ def test_abstract_reads_a_certificate_only_for_eps(tmp_path, capsys):
     assert "no certificate available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+@pytest.mark.parametrize("override", [["--kappa", "1", "--P", "1 x"], ["--kappa", "-1", "--P", "1"]])
+def test_abstract_reports_a_malformed_certificate(override, force, tmp_path, capsys):
+    assert main(["params", SCALAR, "--tau", "0.5", *override]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and "certificate" not in message
+    argv = ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.13", "--omega", "0.1", "--eps", "3.2",
+            *override, *force, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.glob("*.abs"))
+
+
 def test_network_abstract_compose_bisim(tmp_path, capsys):
     out = tmp_path / "net"
     assert main(["abstract", PAIR, "--out", str(out)]) == 0
@@ -483,8 +496,10 @@ def _edit_line(pattern, repl):
         (_edit_line(r"^(4 0 0 ->(?: \*)?) \d+", r"\1 5000"), "successor index 5000 is outside 0..4"),
         (_edit_line(r"^4 0 0 ->", "4 9 0 ->"), "input index 9 is outside 0..0"),
         (_edit_line(r"^4 0 0 ->", "3 0 0 ->"), "duplicate transitions: 5 lines for 4 triples"),
+        (_edit_line(r"^dblocks 1:-$", "dblocks -1:- 2:-"), "disturbance block size -1 is negative"),
     ],
-    ids=["missing-transition", "successor-out-of-range", "input-out-of-range", "duplicate-key"],
+    ids=["missing-transition", "successor-out-of-range", "input-out-of-range", "duplicate-key",
+         "negative-dist-block"],
 )
 def test_bisim_rejects_bad_transition_table(edit, message, tmp_path, capsys):
     bad = _write_rehashed(tmp_path / "bad.abs", edit(_scalar_abs_body(tmp_path)))
