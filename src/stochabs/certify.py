@@ -26,6 +26,7 @@ from .cmpfun import (
     scale,
 )
 from .errors import CertificateError, ParameterError
+from .expr import affine_degrees
 from .sysdsl import SysModel, inf_norm, sample_box
 
 _E = math.e
@@ -109,48 +110,25 @@ class CertReport:
     witness: tuple | None = None
 
 
-def _affine_parts(sys: SysModel, rng):
-    """Extract (A, B, E, c) from an affine drift, refusing non-affine ones."""
-    zx, zu, zw = np.zeros(sys.n), np.zeros(sys.m), np.zeros(sys.p)
-    c = sys.drift_eval(zx, zu, zw)
-    a = np.column_stack([sys.drift_eval(_unit(sys.n, j), zu, zw) - c for j in range(sys.n)])
-    b = (
-        np.column_stack([sys.drift_eval(zx, _unit(sys.m, j), zw) - c for j in range(sys.m)])
-        if sys.m
-        else np.zeros((sys.n, 0))
-    )
-    e = (
-        np.column_stack([sys.drift_eval(zx, zu, _unit(sys.p, j)) - c for j in range(sys.p)])
-        if sys.p
-        else np.zeros((sys.n, 0))
-    )
-    for _ in range(32):
-        x = sample_box(rng, sys.domain)
-        u = sample_box(rng, sys.input_box)
-        w = sample_box(rng, sys.dist_box)
-        f = sys.drift_eval(x, u, w)
-        lin = a @ x + b @ u + e @ w + c
-        if np.abs(f - lin).max() > 1e-9 * (1.0 + np.abs(f).max()):
-            raise CertificateError("drift is not affine; use mode='sampled'")
-    return a, b, e, c
+def _drift_matrix(sys: SysModel):
+    """A of a drift f = Ax + Bu + Ew + c whose trees show it affine, read at
+    the unit vectors; any other drift is refused."""
+    if any(affine_degrees(e) is None for e in sys.drift):
+        raise CertificateError("drift is not affine; use mode='sampled'")
+    zu, zw = np.zeros(sys.m), np.zeros(sys.p)
+    c = sys.drift_eval(np.zeros(sys.n), zu, zw)
+    return np.column_stack([sys.drift_eval(_unit(sys.n, j), zu, zw) - c for j in range(sys.n)])
 
 
-def _linear_diffusion(sys: SysModel, rng):
-    """Extract G_k with sigma(x) columns G_k x, refusing nonlinear diffusion."""
-    s0 = sys.diffusion_eval(np.zeros(sys.n))
-    if np.abs(s0).max() > 0.0:
-        raise CertificateError("diffusion is not linear (sigma(0) != 0); use mode='sampled'")
-    gs = []
+def _diffusion_matrices(sys: SysModel):
+    """G_k with sigma(x) columns G_k x, for a diffusion whose trees show it
+    linear with no constant term, read at the unit vectors; any other
+    diffusion is refused."""
+    linear = (frozenset(), frozenset({1}))
+    if any(affine_degrees(e) not in linear for row in sys.diffusion for e in row if e is not None):
+        raise CertificateError("diffusion is not linear; use mode='sampled'")
     cols = [sys.diffusion_eval(_unit(sys.n, j)) for j in range(sys.n)]
-    for k in range(sys.r):
-        gs.append(np.column_stack([cols[j][:, k] for j in range(sys.n)]))
-    for _ in range(32):
-        x = sample_box(rng, sys.domain)
-        s = sys.diffusion_eval(x)
-        lin = np.column_stack([g @ x for g in gs]) if gs else np.zeros((sys.n, 0))
-        if np.abs(s - lin).max() > 1e-9 * (1.0 + np.abs(s).max()):
-            raise CertificateError("diffusion is not linear; use mode='sampled'")
-    return gs
+    return [np.column_stack([col[:, k] for col in cols]) for k in range(sys.r)]
 
 
 def _unit(n, j):
@@ -169,8 +147,9 @@ def verify_certificate(
 ) -> CertReport:
     """Check the contraction condition for V against the model.
 
-    linear-exact: requires affine drift f = Ax + Bu + Ew + c and linear
-    diffusion columns G_k x, and tests A'P + PA + sum_k G_k'P G_k
+    linear-exact: requires a drift f = Ax + Bu + Ew + c and diffusion
+    columns G_k x that their expression trees show affine and linear
+    (expr.affine_degrees), and tests A'P + PA + sum_k G_k'P G_k
     <= -2*kappa*P through the eigenvalues of the symmetric part.
 
     sampled: evaluates the decay expression on random (x, x', u, w)
@@ -179,10 +158,9 @@ def verify_certificate(
     """
     if cert.p.shape[0] != sys.n:
         raise CertificateError(f"certificate is {cert.p.shape[0]}-dimensional, model has n={sys.n}")
-    rng = np.random.default_rng(seed)
     if mode == "linear-exact":
-        a, _, _, _ = _affine_parts(sys, rng)
-        gs = _linear_diffusion(sys, rng)
+        a = _drift_matrix(sys)
+        gs = _diffusion_matrices(sys)
         m = a.T @ cert.p + cert.p @ a + 2.0 * cert.kappa * cert.p
         for g in gs:
             m = m + g.T @ cert.p @ g
@@ -192,6 +170,7 @@ def verify_certificate(
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
 
+    rng = np.random.default_rng(seed)
     x = sample_box(rng, sys.domain, samples)
     x2 = sample_box(rng, sys.domain, samples)
     u = sample_box(rng, sys.input_box, samples)

@@ -89,10 +89,15 @@ def _reals(text, flag):
 
 
 def _certificate(sys_model, args):
-    if getattr(args, "kappa", None) is not None and getattr(args, "p_matrix", None) is not None:
-        p = [_reals(row, "--P") for row in args.p_matrix.split(";")]
+    """The --kappa/--P override, which takes both flags, or else the file's cert line."""
+    kappa, p_matrix = getattr(args, "kappa", None), getattr(args, "p_matrix", None)
+    if (kappa is None) != (p_matrix is None):
+        given, missing = ("--kappa", "--P") if p_matrix is None else ("--P", "--kappa")
+        raise ParameterError(f"{given} needs {missing}: the certificate override takes both")
+    if kappa is not None:
+        p = [_reals(row, "--P") for row in p_matrix.split(";")]
         return certify.QuadraticCertificate.create(
-            p, args.kappa, lu=sys_model.input_lipschitz, lw=sys_model.dist_lipschitz
+            p, kappa, lu=sys_model.input_lipschitz, lw=sys_model.dist_lipschitz
         )
     return certify.QuadraticCertificate.from_model(sys_model)
 

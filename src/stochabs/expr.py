@@ -15,12 +15,16 @@ Expressions are evaluated only compiled: compile_array turns a model's
 entries into one generated Python function that fills an array, one
 expression per entry with the numpy operations of a walk over its tree
 in the same order, so arithmetic is plain IEEE double, left to right.
-Variables may be numpy arrays, so ensembles evaluate in one pass.
+Each operation writes in place into the entry or a scratch buffer, so
+an evaluation allocates its result and a few buffers, not one array per
+node.  Variables may be numpy arrays, so ensembles evaluate in one pass.
+affine_degrees decides from the tree alone whether an entry is affine.
 Parsing and compiling recurse, so deeper than MAX_DEPTH is refused.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -283,6 +287,35 @@ def free_vars(e: Expr):
         yield from free_vars(e.base)
 
 
+def affine_degrees(e: Expr):
+    """The degrees in (x, u, w) of e's monomials, a subset of {0, 1}, when e's
+    tree alone shows it affine; else None.  A zero literal has no monomial,
+    a subtree with no variable has degree 0, a product may have one factor
+    that is not constant, and a divisor must be constant; any other
+    function or power of a variable is refused."""
+    if isinstance(e, Var):
+        return frozenset({1})
+    if isinstance(e, Lit):
+        return frozenset({0}) if e.value != 0 else frozenset()
+    if isinstance(e, Neg):
+        return affine_degrees(e.arg)
+    if next(free_vars(e), None) is None:
+        return frozenset({0})
+    if isinstance(e, Pow) and e.power in (0, 1):
+        return affine_degrees(e.base) if e.power else frozenset({0})
+    if not isinstance(e, Bin):
+        return None
+    lhs, rhs = affine_degrees(e.lhs), affine_degrees(e.rhs)
+    if lhs is None or rhs is None:
+        return None
+    if e.op in "+-":
+        return lhs | rhs
+    if e.op == "/":
+        return lhs if rhs <= {0} else None
+    degrees = frozenset(i + j for i in lhs for j in rhs)
+    return degrees if degrees <= {0, 1} else None
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -323,16 +356,82 @@ def _code(e: Expr, consts: list) -> str:
     raise TypeError(f"not a compilable expression node: {e!r}")  # no other text reaches the source
 
 
+def _operand(e: Expr) -> bool:
+    """Whether e enters its parent as _code text: a leaf, a subtree with no
+    x/u/w leaf, a division or an integer power (numpy's ** has fast paths
+    of its own, so those keep their operator)."""
+    return isinstance(e, (Var, Lit, Pow)) or (isinstance(e, Bin) and e.op == "/") or next(free_vars(e), None) is None
+
+
+_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply"}
+
+
 def compile_array(entries: dict, lead: tuple, args: str):
     """One generated function of args ("x, u, w" or "x") that reads x as a
     float array and returns the (*lead, *x.shape[1:]) array holding
-    entries[index] at each index of entries and zero elsewhere.  Results
-    are those of a left-to-right walk over each tree, bit for bit."""
-    consts = []
-    body = [f"out[{', '.join(f'{i:d}' for i in index)}] = {_code(e, consts)}" for index, e in entries.items()]
+    entries[index] at each index of entries and zero elsewhere.
+
+    Each tree is written into its entry in place: a node runs its numpy
+    operation with out= on the entry's view (out[i, ...], an array even
+    when x is 1-D), its left operand computed there first and a right
+    operand that is not _code text in the scratch buffer of its nesting
+    level.  A function never writes over its own argument.  Results are
+    those of a left-to-right walk over each tree, bit for bit, with no
+    temporary per node."""
+    consts, body = [], []
+    levels = temps = 0  # scratch buffers used, operands bound to names
+
+    def emit(e, t, level):
+        """Statements that write e into the array t, using scratch s{level} and deeper."""
+        nonlocal levels, temps
+        levels = max(levels, level)
+        if isinstance(e, (Neg, Call)):
+            fn = "np.negative" if isinstance(e, Neg) else f"np.{e.fn}"
+            if _operand(e.arg):
+                arg = _code(e.arg, consts)
+            elif isinstance(e, Neg):
+                emit(e.arg, t, level)
+                arg = t
+            else:
+                arg = f"s{level}"
+                emit(e.arg, arg, level + 1)
+            body.append(f"{fn}({arg}, out={t})")
+        elif isinstance(e, Bin) and e.op in _UFUNCS:
+            left_in_t = not _operand(e.lhs)
+            if left_in_t:
+                emit(e.lhs, t, level)
+                lhs = t
+            else:
+                lhs = _code(e.lhs, consts)
+                if not isinstance(e.lhs, (Var, Lit)) and not _operand(e.rhs):  # evaluated before rhs
+                    temps += 1
+                    body.append(f"v{temps} = {lhs}")
+                    lhs = f"v{temps}"
+            if _operand(e.rhs):
+                rhs = _code(e.rhs, consts)
+            elif left_in_t:
+                rhs = f"s{level}"
+                emit(e.rhs, rhs, level + 1)
+            else:
+                rhs = t
+                emit(e.rhs, t, level)
+            body.append(f"{_UFUNCS[e.op]}({lhs}, {rhs}, out={t})")
+        else:
+            raise TypeError(f"not a compilable expression node: {e!r}")
+
+    for index, e in entries.items():
+        target = f"out[{''.join(f'{i:d}, ' for i in index)}...]"
+        if _operand(e):
+            body.append(f"{target} = {_code(e, consts)}")
+        else:
+            body.append(f"t = {target}")
+            emit(e, "t", 0)
     shape = "".join(f"{d:d}, " for d in lead)
+    fill = "empty" if len(entries) == math.prod(lead) else "zeros"
+    scratch = [f"s{k} = empty(x.shape[1:])" for k in range(levels)]
     source = "\n    ".join([f"def compiled({args}):", "x = asarray(x, float)",
-                            f"out = zeros(({shape}*x.shape[1:]))", *body, "return out"])
-    namespace = dict(np=np, asarray=np.asarray, zeros=np.zeros, _div=_div, _neg_pow=_neg_pow, c=tuple(consts))
+                            f"out = {fill}(({shape}*x.shape[1:]))", *scratch, *body, "return out"])
+    namespace = dict(np=np, asarray=np.asarray, empty=np.empty, zeros=np.zeros, _div=_div, _neg_pow=_neg_pow,
+                     c=tuple(consts))
     exec(compile(source, "<compiled expressions>", "exec"), namespace)
     return namespace["compiled"]

@@ -24,9 +24,13 @@ buffer that all groups read, so each step reads one contiguous row of
 noise and memory does not grow with the step count: a block is
 NOISE_BLOCK steps, or fewer when the chunk is wide, so that the buffer
 holds at most NOISE_BUDGET normals.
-Both integrators share one contraction sigma(x) z and one divergence
-test, which is what makes the single path and the ensemble agree bit
-for bit.  The moment-closeness and increment suites simulate the same
+Both integrators share one contraction sigma(x) z, computed in place in
+the freshly evaluated diffusion array, and one divergence test, and
+both add x + f dt + sigma(x) z in that order, which is what makes the
+single path and the ensemble agree bit for bit.  An ensemble step works
+in place in the drift array it evaluates, so it allocates that array,
+the diffusion array and their scratch buffers and no other temporary.
+The moment-closeness and increment suites simulate the same
 configuration, so validate_moments runs them off one ensemble;
 validate_coupled runs delta_iss's pair and bisim_step's paths as two
 groups of one pass.
@@ -142,14 +146,20 @@ def _chunk_rngs(seed, start, stop):
 
 
 def _noise_term(s, z):
-    """sigma(x) z as sum_j s[:, j] * z[j], added in the order j = 0, 1, ...
+    """sigma(x) z as sum_j s[:, j] * z[j], added to a zero start in the order
+    j = 0, 1, ...; computed in place in s, which it overwrites, and returned
+    as a view of s.
 
     Both integrators use this one contraction, so any ensemble path is
     bit-exactly reproducible in isolation whatever r is.
     """
-    acc = np.zeros(s.shape[:1] + s.shape[2:])
-    for j in range(s.shape[1]):
-        acc += s[:, j] * z[j]
+    acc = s[:, 0]
+    acc *= z[0]
+    acc += 0.0  # the zero start: 0.0 + -0.0 is +0.0
+    for j in range(1, s.shape[1]):
+        term = s[:, j]
+        term *= z[j]
+        acc += term
     return acc
 
 
@@ -253,8 +263,11 @@ class _Group:
 
     def step(self, sys, zk, dt):
         x = self.x
-        nxt = x + sys.drift_eval(x, self.u, self.w) * dt + _noise_term(sys.diffusion_eval(x), zk)
-        if self.all_alive and np.abs(nxt).max() <= _DIVERGE_LIMIT:  # NaN fails the test
+        nxt = sys.drift_eval(x, self.u, self.w)  # x + f dt + sigma z, as simulate_em adds it, in place
+        nxt *= dt
+        np.add(x, nxt, out=nxt)
+        nxt += _noise_term(sys.diffusion_eval(x), zk)
+        if self.all_alive and nxt.max() <= _DIVERGE_LIMIT and nxt.min() >= -_DIVERGE_LIMIT:  # NaN fails
             self.x = nxt
             return
         # (configs, paths): configuration c of a path also freezes when an

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from stochabs import certify
+from stochabs import certify, netcomp, sysdsl
 from stochabs.cmpfun import PowerLaw, Zero
-from stochabs.errors import CertificateError
-from stochabs.expr import Bin, Call, Lit, Var
+from stochabs.errors import CertificateError, ExprEvalError
+from stochabs.expr import Bin, Call, Lit, Neg, Pow, Var, affine_degrees, compile_array, parse_expr, to_source
 from stochabs.sysdsl import SysModel
+from tests.conftest import DATA
 
 
 def test_accepts_exact_rate(scalar_model, scalar_cert):
@@ -95,6 +96,103 @@ def test_nonaffine_rejected_in_exact_mode(scalar_model):
     cert = certify.QuadraticCertificate.create([[1.0]], 0.5, lf=1.0)
     with pytest.raises(CertificateError, match="not affine"):
         certify.verify_certificate(sine, cert, mode="linear-exact")
+
+
+def _affine_by_value(e, rng, dims=(3, 2, 2)):
+    """The sampled affinity test: e against the affine map read at the unit
+    vectors, at 32 random points of [-1, 1]^(n + m + p)."""
+    f = compile_array({(0,): e}, (1,), "x, u, w")
+
+    def at(v):
+        return f(*np.split(np.asarray(v, float), np.cumsum(dims)[:-1]))[0]
+
+    c = at(np.zeros(sum(dims)))
+    coeffs = np.array([at(certify._unit(sum(dims), j)) - c for j in range(sum(dims))])
+    for _ in range(32):
+        v = rng.uniform(-1, 1, sum(dims))
+        value = at(v)
+        if abs(value - (coeffs @ v + c)) > 1e-9 * (1.0 + abs(value)):
+            return False
+    return True
+
+
+def _random_tree(rng, kinds="xuw", depth=0):
+    """Random trees, often affine: leaves, sums, products, quotients, calls and powers."""
+    pick = rng.random()
+    if depth >= 4 or pick < 0.3:
+        if rng.random() < 0.5:
+            kind = kinds[rng.integers(len(kinds))]
+            return Var(kind, int(rng.integers(1, {"x": 4, "u": 3, "w": 3}[kind])))
+        return Lit(0.0 if rng.random() < 0.2 else float(np.round(rng.uniform(0, 3), 2)))
+    if pick < 0.4:
+        return Neg(_random_tree(rng, kinds, depth + 1))
+    if pick < 0.8:
+        lhs, rhs = _random_tree(rng, kinds, depth + 1), _random_tree(rng, kinds, depth + 1)
+        return Bin("+-*/"[rng.integers(4)], lhs, rhs)
+    if pick < 0.9:
+        return Call(("sin", "cos", "tanh", "exp")[rng.integers(4)], _random_tree(rng, kinds, depth + 1))
+    return Pow(_random_tree(rng, kinds, depth + 1), int(rng.integers(-2, 4)))
+
+
+def test_tree_affinity_examples():
+    cases = {
+        "-x1 + u1 + w1": {1},
+        "2*(x1 + 3)/4 - w2": {0, 1},
+        "sin(2)*x1": {1},
+        "pow(x1, 1) + pow(x2, 0)": {0, 1},
+        "0*x1*x1": set(),
+        "0": set(),
+        "x1*x1 - x1*x1": None,
+        "x1/x2": None,
+        "pow(x1, 2)": None,
+        "exp(x1)": None,
+        "-x1 + u1 + w1 + 10*exp(-1000000*pow(x1 - 0.5, 2))": None,
+    }
+    for text, degrees in cases.items():
+        assert affine_degrees(parse_expr(text, dims=(3, 2, 2))) == degrees, text
+
+
+def test_tree_affine_implies_sampled_affine():
+    # the proof's premise against the parent's sampled test: whenever a
+    # tree says affine, its values are affine at 32 random points
+    rng = np.random.default_rng(2026)
+    counts = {True: 0, False: 0}
+    while counts[True] < 300:
+        e = _random_tree(rng)
+        try:
+            with np.errstate(all="ignore"):
+                affine = _affine_by_value(e, rng)
+        except (ExprEvalError, OverflowError):
+            continue
+        degrees = affine_degrees(e)
+        counts[degrees is not None] += 1
+        if degrees is not None:
+            assert affine, to_source(e)
+    assert counts[False] > 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 1729])
+def test_bump_model_is_never_proved(seed):
+    # node.sys with a bump of height 10 and width about 0.002 at x1 = 0.5:
+    # its slope reaches about 8,600 there, so it does not contract.  The
+    # 32-point test let it through as linear-exact at seeds 1, 3, 4, 5 and 1729.
+    bump = sysdsl.parse_system((DATA / "node.sys").read_text().replace(
+        "x1' = -x1 + u1 + w1", "x1' = -x1 + u1 + w1 + 10*exp(-1000000*pow(x1 - 0.5, 2))"))
+    cert = certify.QuadraticCertificate.from_model(bump)
+    with pytest.raises(CertificateError, match="drift is not affine"):
+        certify.verify_certificate(bump, cert, mode="linear-exact", seed=seed)
+    assert netcomp.verified_kit(bump, cert, seed)[0] == "sampled"
+
+
+def test_diffusion_needs_a_linear_tree(scalar_model, scalar_cert):
+    for text, linear in [("0.5*x1", True), ("x1*0.5 + 0*x1", True), ("0.5*x1 + 0.1", False),
+                         ("0.5*x1 + 0.1 - 0.1", False), ("0.5*sin(x1)", False)]:
+        model = dataclasses.replace(scalar_model, diffusion=((parse_expr(text, dims=(1, 1, 1)),),))
+        if linear:
+            assert certify.verify_certificate(model, scalar_cert).mode == "linear-exact"
+        else:
+            with pytest.raises(CertificateError, match="diffusion is not linear"):
+                certify.verify_certificate(model, scalar_cert)
 
 
 def test_derived_gain_constants(scalar_kit):

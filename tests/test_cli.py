@@ -756,6 +756,26 @@ def test_non_numeric_certificate_matrix_is_usage_error(capsys):
     assert err.startswith("error: --P expects space-separated reals") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("lone, missing", [(["--kappa", "50"], "--P"), (["--P", "1"], "--kappa")],
+                         ids=["kappa", "P"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", SCALAR, "--tau", "0.5"],
+        ["params", SCALAR, "--tau", "0.5"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.13", "--omega", "0.1", "--eps", "3.2"],
+        ["validate", SCALAR, "--tau", "0.5", "--paths", "10", "--pairs", "2", "--steps", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_lone_certificate_flag_is_usage_error(command, lone, missing, tmp_path, capsys):
+    # the override takes both flags; one alone was dropped for the file's cert line
+    assert main([*command, *lone, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {lone[0]} needs {missing}: the certificate override takes both\n" and not out
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
 def _overflow_tau_net(tmp_path):
     (tmp_path / "node.sys").write_bytes((DATA / "node.sys").read_bytes())
     net = tmp_path / "pair_tau1000.net"

@@ -11,6 +11,7 @@ from stochabs.expr import (
     Pow,
     Var,
     compile_array,
+    free_vars,
     parse_expr,
     to_source,
 )
@@ -119,36 +120,77 @@ def test_roundtrip_500():
         assert parse_expr(to_source(e), dims=DIMS) == e
 
 
+ENV_FNS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "pow": lambda a, b: a**b,
+}
+
+
+def interpret(e, x, u, w):
+    """e at x, u, w (sequences of scalars or arrays) by the host interpreter on to_source(e)."""
+    env = {f"{kind}{i + 1}": v[i] for kind, v in (("x", x), ("u", u), ("w", w)) for i in range(len(v))}
+    return eval(to_source(e), {"__builtins__": {}}, {**env, **ENV_FNS})
+
+
 def test_independent_interpreter_agreement():
     # The compiled function against a direct translation to Python
     # source, evaluated by the host interpreter with the same numpy scalar
     # ops: results must coincide exactly when the operation order is
     # identical.
     rng = np.random.default_rng(99)
-    env_fns = {
-        "sin": np.sin,
-        "cos": np.cos,
-        "tanh": np.tanh,
-        "exp": np.exp,
-        "pow": lambda a, b: a**b,
-    }
     checked = 0
     while checked < 1000:
         e = random_expr(rng)
         x = [np.float64(v) for v in rng.uniform(-3, 3, DIMS[0])]
         u = [np.float64(v) for v in rng.uniform(-3, 3, DIMS[1])]
         w = [np.float64(v) for v in rng.uniform(-3, 3, DIMS[2])]
-        env = {f"x{i+1}": x[i] for i in range(DIMS[0])}
-        env.update({f"u{i+1}": u[i] for i in range(DIMS[1])})
-        env.update({f"w{i+1}": w[i] for i in range(DIMS[2])})
-        env.update(env_fns)
         try:
             with np.errstate(all="ignore"):
                 mine = evaluate(e, x, u, w)
-                theirs = eval(to_source(e), {"__builtins__": {}}, env)
+                theirs = interpret(e, x, u, w)
         except (ExprEvalError, ZeroDivisionError, OverflowError):
             continue
         if not (np.isfinite(mine) and np.isfinite(theirs)):
             continue
         assert mine == theirs, to_source(e)
+        checked += 1
+
+
+def _constant_expr(rng):
+    while next(free_vars(e := random_expr(rng)), None) is not None:
+        pass
+    return e
+
+
+@pytest.mark.parametrize(
+    "cells, vector_inputs",
+    [((), False), ((9,), False), ((9,), True), ((2, 9), False)],
+    ids=["1-D x", "RK4 cells", "cells, one input vector", "EM configs x paths"],
+)
+def test_independent_interpreter_agreement_on_arrays(cells, vector_inputs):
+    # A (2, 2) array of a random entry, a constant-only entry, another
+    # random entry and a missing one, compiled in one function and fed x
+    # of shape (3, *cells) with u and w as the RK4 flow ((m, cells)) and
+    # the EM groups ((m, configs, paths)) pass them, or as single vectors:
+    # every element matches the host interpreter on arrays, and the
+    # missing entry is zero.
+    rng = np.random.default_rng(len(cells) * 2 + vector_inputs)
+    checked = 0
+    while checked < 300:
+        entries = {(0, 0): random_expr(rng), (0, 1): _constant_expr(rng), (1, 1): random_expr(rng)}
+        x = rng.uniform(-3, 3, (DIMS[0], *cells))
+        u, w = (rng.uniform(-3, 3, (dim, *(() if vector_inputs else cells))) for dim in DIMS[1:])
+        try:
+            with np.errstate(all="ignore"):
+                mine = compile_array(entries, (2, 2), "x, u, w")(x, u, w)
+                theirs = {index: interpret(e, x, u, w) for index, e in entries.items()}
+        except (ExprEvalError, ZeroDivisionError, OverflowError):
+            continue
+        assert mine.shape == (2, 2, *cells)
+        for index, e in entries.items():
+            np.testing.assert_array_equal(mine[index], np.broadcast_to(theirs[index], cells), to_source(e))
+        assert not mine[1, 0].any()
         checked += 1

@@ -124,6 +124,35 @@ def test_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
         assert np.array_equal(vals[k], p.states[R2_CKPT])
 
 
+# every node kind in drift and diffusion: the four functions, division,
+# positive and negative integer powers, unary minus, literals on either side
+ALL_KINDS = """system allkinds
+dims n=2 m=1 p=1 r=2
+domain x1 in [-1, 1]
+domain x2 in [-1, 1]
+input u1 in [-0.1, 0.1]
+dist w1 in [-0.2, 0.2]
+drift x1' = -x1 + 0.3*sin(x2) - cos(x1 - 0.5)/(2 + x2*x2) + 0.1*pow(x1, 3) + u1*2
+drift x2' = tanh(-x1*x2)*0.2 - x2 - 0.05*pow(2 + x1, -2) + exp(-(x1*x1))/4 + w1
+diff sigma[1][1] = 0.2*cos(x1)*x2 - x1/(3 + x2)
+diff sigma[2][1] = -0.1*pow(x2, 2)
+diff sigma[2][2] = 0.1 - tanh(0.3*x1)
+const Lf=5 Lsigma=1 K=5
+"""
+
+
+def test_ensemble_matches_single_paths_on_every_node_kind():
+    model = sysdsl.parse_system(ALL_KINDS)
+    x0 = np.column_stack([np.linspace(-0.8, 0.8, 12), np.linspace(0.6, -0.6, 12)])
+    us = np.linspace(-0.1, 0.1, 12)[:, None]
+    ckpt = [0, 100, 333, 600]
+    vals, div = simulate_ensemble(model, x0, us, [0.1], 1.0, 600, len(x0), SEED, ckpt, chunk=5)
+    assert not div.any()
+    for k in range(len(x0)):
+        path = simulate_em(model, x0[k], us[k], [0.1], 1.0, 600, seed=SEED, path_index=k)
+        assert np.array_equal(vals[k], path.states[ckpt])
+
+
 def test_paired_ensemble_matches_single_paths_with_two_noise_channels(coupled2):
     x0b = R2_X0[::-1].copy()
     pair = ([(R2_X0, [0.05], [0.1]), (x0b, [-0.05], [-0.1])], len(R2_X0), R2_CKPT)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from stochabs import certify, gridabs, netcomp, sysdsl
+from stochabs import bisimcheck, certify, gridabs, netcomp, sysdsl
 from stochabs.bisimcheck import vector_metric
 from stochabs.errors import CertificateError, ModelError, ParameterError
 from tests.conftest import DATA, table
+from tests.test_bisimcheck import _oracle_check
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +323,52 @@ def test_parts_and_compositions_equal_their_round_trip(pair_net, tri_net, tri_pa
         netcomp.compose_abstractions(tri_net, tri_parts[1:]),
     ):
         assert gridabs.deserialize(abstraction.serialize()) == abstraction
+
+
+def _gain_twin(net_name, gain, tmp_path):
+    """The network in tmp_path with every drift taking its disturbances at this gain."""
+    text = (DATA / net_name).read_text()
+    for line in text.splitlines():
+        if "file=" in line:
+            name = line.split("file=")[1].split()[0]
+            node = "".join(row.replace("w1", f"{gain}*w1").replace("w2", f"{gain}*w2") if row.startswith("drift")
+                           else row for row in (DATA / name).read_text().splitlines(True))
+            (tmp_path / name).write_text(node)
+    (tmp_path / net_name).write_text(text)
+    return sysdsl.load(tmp_path / net_name)
+
+
+@pytest.mark.parametrize("net_name, eta, omega, eps_list", [
+    ("pair.net", 0.1, 0.05, (0.2, 0.6, 1.0)),
+    ("tri.net", 0.2, 0.05, (0.2, 0.4)),
+])
+def test_product_of_node_relations_is_a_bisimulation_of_the_composition(net_name, eta, omega, eps_list,
+                                                                          tmp_path):
+    # The network theorem at the finite level: when each node pair has a
+    # disturbance bisimulation R_i at precision eps and disturbance precision
+    # eps (its in-neighbours' eps), the product of the R_i is a disturbance
+    # bisimulation of the two composed abstractions at eps, inside their
+    # greatest one.  The twin takes its disturbances at gain 0.8.
+    sides = []
+    for spec in (sysdsl.load(DATA / net_name), _gain_twin(net_name, 0.8, tmp_path)):
+        k = len(spec.nodes)
+        parts = [netcomp.build_node_abstraction(spec, i, dict.fromkeys(range(k), eta),
+                                                dict.fromkeys(range(k), omega)) for i in range(k)]
+        sides.append((parts, netcomp.compose_abstractions(spec, parts)))
+    (parts1, comp1), (parts2, comp2) = sides
+    assert comp1.eps_tilde == () and comp1.states == comp2.states and comp1 != comp2
+    sizes = []
+    for eps in eps_list:
+        product = np.ones((1, 1), bool)
+        for p1, p2 in zip(parts1, parts2):
+            rel = bisimcheck.largest_bisimulation(p1, p2, eps, (eps,) * len(p1.dist_blocks))
+            node = np.zeros((len(p1.states), len(p2.states)), bool)
+            node[rel.first, rel.second] = True
+            # composed states are the node states in row-major order
+            product = np.einsum("ij,kl->ikjl", product, node).reshape(product.shape[0] * node.shape[0], -1)
+        rel = bisimcheck.RelationTable(*np.nonzero(product), eps, ())
+        assert bisimcheck.check_relation(comp1, comp2, rel).valid
+        assert _oracle_check(comp1, comp2, rel)[0]
+        assert rel.pairs <= bisimcheck.largest_bisimulation(comp1, comp2, eps, ()).pairs
+        sizes.append(len(rel))
+    assert any(sizes) and not all(sizes)  # some node relations are empty, some are not
