@@ -22,16 +22,9 @@ related pairs from one np.nonzero and walks them in row-major slices of
 at most STEP_LOOKUPS relation lookups, gathering the relation at every
 pair of successors of a slice at once; clause (c) reads the transpose.
 So it names the first failing pair in the table's order with its first
-failing clause.  The self fixpoint (``s1 == s2`` by value, as when the
-CLI reads one file twice) runs the same kernel in Jacobi rounds,
-removing every failing pair after each; the greatest fixpoint does not
-depend on removal order.
-Only the distinct fixpoint rounds still take loops over a Python set
-(_responds, _table): on arrays, ring3's benchmark round would fall to
-~3 s and make many rounds, and the benchmark reads a child's peak
-memory as the runner's high-water mark after the first round (57.6 MB
-in round 0, 136.3 MB in round 1), so they wait for a benchmark that
-reads each round's own peak.
+failing clause.  The greatest fixpoint runs the same kernel in Jacobi
+rounds, removing every failing pair after each, whether the sides are
+one abstraction or two; its result does not depend on removal order.
 """
 
 from __future__ import annotations
@@ -134,46 +127,6 @@ def _admissible_dist_pairs(s1, s2, eps_tilde):
     return np.array(np.nonzero(close))
 
 
-def _table(a: FiniteAbstraction):
-    """(successor tuple per flat (s, u, d) row, input count, disturbance count)."""
-    rows = a.succ.reshape(a.ood.size, a.succ.shape[-1]).tolist()
-    return [tuple(t for t in row if t >= 0) for row in rows], len(a.inputs), len(a.dists)
-
-
-def _responds(challenger, responder, x_c, x_r, pairs, adm, flip):
-    """Challenger side (b)-style check for one related pair.
-
-    challenger and responder are _table tuples; adm is the challenger's
-    and the responder's disturbance indices of the admissible pairs.
-    flip=False: challenger is S1 (pairs indexed (s, t)); flip=True:
-    challenger is S2 and membership is tested transposed.
-    """
-    rows_c, n_uc, n_dc = challenger
-    rows_r, n_ur, n_dr = responder
-    adm = list(zip(*adm))
-    for u_c in range(n_uc):
-        matched = False
-        for u_r in range(n_ur):
-            ok = True
-            for dc, dr in adm:
-                succ_c = rows_c[(x_c * n_uc + u_c) * n_dc + dc]
-                succ_r = rows_r[(x_r * n_ur + u_r) * n_dr + dr]
-                for s in succ_c:
-                    if not any(
-                        ((s, t) if not flip else (t, s)) in pairs for t in succ_r
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                matched = True
-                break
-        if not matched:
-            return False
-    return True
-
-
 def _padded(R):
     """R inside a copy with one more row and column.  The extra row is
     True, so an absent challenger successor (-1) holds vacuously; the
@@ -264,28 +217,13 @@ def largest_bisimulation(
     _check_precisions(eps, eps_tilde, ParameterError)
     adm = _admissible_dist_pairs(s1, s2, eps_tilde)
     R = _close(_points(s1.states, s1.dim), _points(s2.states, s2.dim), (eps,) * s1.dim)
-    if s1 == s2:
-        while True:
-            bad = [(I[f > 0], J[f > 0]) for I, J, f in _failures(s1, s2, R, eps, adm)]
-            if not any(I.size for I, _ in bad):
-                break
-            for I, J in bad:
-                R[I, J] = False
-        return RelationTable(*np.nonzero(R), eps, eps_tilde)
-    t1, t2 = _table(s1), _table(s2)
-    adm = adm.tolist()
-    current = set(zip(*(ix.tolist() for ix in np.nonzero(R))))
     while True:
-        bad = [
-            pair
-            for pair in current
-            if not _responds(t1, t2, pair[0], pair[1], current, adm, flip=False)
-            or not _responds(t2, t1, pair[1], pair[0], current, adm[::-1], flip=True)
-        ]
-        if not bad:
+        bad = [(I[f > 0], J[f > 0]) for I, J, f in _failures(s1, s2, R, eps, adm)]
+        if not any(I.size for I, _ in bad):
             break
-        current.difference_update(bad)
-    return RelationTable(*np.array(sorted(current), np.intp).reshape(-1, 2).T, eps, eps_tilde)
+        for I, J in bad:
+            R[I, J] = False
+    return RelationTable(*np.nonzero(R), eps, eps_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def _certificate(sys_model, args):
     return certify.QuadraticCertificate.from_model(sys_model)
 
 
+def _no_certificate(args, where):
+    """Refuse --kappa/--P where no certificate of theirs is checked."""
+    for flag, value in (("--kappa", args.kappa), ("--P", args.p_matrix)):
+        if value is not None:
+            raise ParameterError(f"{flag} applies to a single system{where}")
+
+
 def cmd_lint(args):
     _require_positive(args, "samples")
     obj = sysdsl.load(args.file)
@@ -174,6 +181,7 @@ def cmd_params(args):
     obj = sysdsl.load(args.file)
     network = isinstance(obj, sysdsl.NetworkSpec)
     if network:
+        _no_certificate(args, "; a network's nodes take their files' cert lines")
         nodes = netcomp.synthesize_params(obj, seed=args.seed).nodes
     elif args.tau is None:
         raise StochabsError("single-system params needs --tau")
@@ -202,6 +210,7 @@ def cmd_abstract(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
+        _no_certificate(args, " with --eps; a network's nodes take their files' cert lines")
         result = netcomp.synthesize_params(obj, seed=args.seed)
         if not result.feasible:
             return _infeasible(result.nodes)
@@ -232,6 +241,8 @@ def cmd_abstract(args):
                 return 1
             if reason:
                 _unchecked(reason, args.force)
+    else:
+        _no_certificate(args, " with --eps, which the pitch is checked against")
     abstraction = gridabs.build_abstraction(
         model, args.tau, gridabs.snap_state_pitch(model.domain, args.eta), omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
@@ -365,10 +376,10 @@ def cmd_report(args):
     return 0 if ok else 1
 
 
-def _add_common(p, seed=True, out=False, cert=False):
-    if cert:
-        p.add_argument("--kappa", type=float, help="override: decay rate of the certificate")
-        p.add_argument("--P", dest="p_matrix", help="override: certificate matrix")
+def _add_common(p, seed=True, out=False, cert=None):
+    if cert is not None:  # cert: where the override applies, appended to its help
+        p.add_argument("--kappa", type=float, help=f"override: decay rate of the certificate{cert}")
+        p.add_argument("--P", dest="p_matrix", help=f"override: certificate matrix{cert}")
     if seed:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="master random seed (default %(default)s)")
@@ -414,7 +425,7 @@ def build_parser():
     p.add_argument("--omega", type=float, help="input pitch cap (default: input-box width)")
     p.add_argument("--eps-tilde-norm", type=float, default=0.0,
                    help="disturbance mismatch norm (default %(default)s)")
-    _add_common(p, out=True, cert=True)
+    _add_common(p, out=True, cert=" (single system only)")
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("abstract", formatter_class=width,
@@ -432,7 +443,7 @@ def build_parser():
                    help="cap on state*input*disturbance cells (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; output is identical for any count (default %(default)s)")
-    _add_common(p, cert=True)
+    _add_common(p, cert=" (single system with --eps only)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_abstract)
 
@@ -471,7 +482,7 @@ def build_parser():
                    help="abstraction cell cap (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes; output is identical for any count (default %(default)s)")
-    _add_common(p, cert=True)
+    _add_common(p, cert="")
     p.add_argument("--out", required=True, help="output directory for CSV reports")
     p.set_defaults(fn=cmd_validate)
 

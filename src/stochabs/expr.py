@@ -171,6 +171,8 @@ class _Parser:
         tok = self.next()
         kind, text, line, col = tok
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ParseError(f"number {text} is not finite", line, col)
             return Lit(float(text)), 1
         if text == "(":
             self.open = self._deeper(self.open, tok)

@@ -424,19 +424,14 @@ def test_self_check_relation_matches_sorted_oracle():
     assert {None, "a", "b", "c"} <= set(clauses)
 
 
-def test_self_bisimulation_makes_no_responds_call(monkeypatch, scalar_model):
+def test_greatest_fixpoint_is_maximal_on_both_sides(scalar_model):
     rng = np.random.default_rng(99)
     instances = [_random_self_instance(rng) for _ in range(10)]
     instances.append((gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1), 0.6, (0.0,)))
-    distinct = []  # relations between two abstractions, found before _responds is refused
+    distinct = []  # greatest relations between two abstractions, and their halves
     for s1, s2, eps, et in _distinct_cases(rng, 5):
         rel = largest_bisimulation(s1, s2, eps, et)
         distinct += [(s1, s2, rel), (s1, s2, RelationTable(rel.first[::2], rel.second[::2], eps, et))]
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the array path called _responds")
-
-    monkeypatch.setattr(bisimcheck, "_responds", refused)
     multi_round = 0
     for s, eps, et in instances:
         greatest, sizes = _oracle_greatest(s, s, eps, et)
@@ -451,6 +446,14 @@ def test_self_bisimulation_makes_no_responds_call(monkeypatch, scalar_model):
         assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s1, s2, rel)
         invalid += not mine.valid
     assert 0 < invalid < len(distinct)
+    kept = removed = multi_round = 0
+    for s1, s2, eps, et in _distinct_cases(np.random.default_rng(31), 30):
+        greatest, sizes = _oracle_greatest(s1, s2, eps, et)
+        assert largest_bisimulation(s1, s2, eps, et).pairs == greatest
+        kept += len(greatest)
+        removed += sizes[0] - len(greatest)
+        multi_round += len(sizes) > 2
+    assert kept > 0 and removed > 0 and multi_round > 0
 
 
 PLANE_TEXT = """system plane
@@ -584,9 +587,12 @@ def test_no_step_exceeds_the_lookup_budget(monkeypatch, pair_net):
         monkeypatch.setattr(bisimcheck, "STEP_LOOKUPS", budget)
         calls.clear()
         rel = largest_bisimulation(s1, s2, eps, et)
+        fixpoint = calls[:]
+        calls.clear()
         assert check_relation(s1, s2, rel).valid
-        # the self fixpoint calls _answers; on distinct sides only the check does
-        assert (calls or s1 != s2 and not len(rel)) and max(calls, default=0) <= budget
+        assert fixpoint and max(fixpoint) <= budget
+        # an empty relation holds without a lookup
+        assert bool(calls) == bool(len(rel)) and max(calls, default=0) <= budget
 
 
 def test_admissible_dist_pairs_match_the_vector_metric_loop():

@@ -776,6 +776,23 @@ def test_lone_certificate_flag_is_usage_error(command, lone, missing, tmp_path, 
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["params", PAIR, "--kappa", "50"], "--kappa"),
+        (["abstract", PAIR, "--P", "1"], "--P"),
+        (["abstract", SCALAR, "--tau", "0.5", "--eta", "0.25", "--kappa", "50"], "--kappa"),
+    ],
+    ids=["params-network", "abstract-network", "abstract-without-eps"],
+)
+def test_certificate_flag_where_no_certificate_is_checked_is_usage_error(command, flag, tmp_path, capsys):
+    # a network's nodes, and a build with no --eps, check no override: it was dropped
+    assert main([*command, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {flag} applies to a single system") and err.count("\n") == 1 and not out
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
 def _overflow_tau_net(tmp_path):
     (tmp_path / "node.sys").write_bytes((DATA / "node.sys").read_bytes())
     net = tmp_path / "pair_tau1000.net"

@@ -72,6 +72,12 @@ def test_positioned_errors():
         assert exc.value.line is not None
 
 
+def test_non_finite_literal_is_refused():
+    # it overflowed to inf and reached certify as a nan margin
+    with pytest.raises(ParseError, match="line 3, col 6: number 1e999 is not finite"):
+        parse_expr("x1 + 1e999*x1", dims=DIMS, line=3)
+
+
 def random_expr(rng, depth=0):
     pick = rng.random()
     if depth >= 5 or pick < 0.35:
