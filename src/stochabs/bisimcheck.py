@@ -50,18 +50,6 @@ STEP_LOOKUPS = 1 << 18
 LINE_BLOCK = 1 << 16
 
 
-def vector_metric(w1, w2, blocks) -> tuple:
-    """Per-block infinity norms between two disturbance vectors."""
-    out = []
-    pos = 0
-    for size in blocks:
-        a = w1[pos : pos + size]
-        b = w2[pos : pos + size]
-        out.append(max((abs(x - y) for x, y in zip(a, b)), default=0.0))
-        pos += size
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class RelationTable:
     """A candidate disturbance bisimulation: its pairs (first[p], second[p])

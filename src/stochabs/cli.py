@@ -102,10 +102,15 @@ def _certificate(sys_model, args):
     return certify.QuadraticCertificate.from_model(sys_model)
 
 
-def _no_certificate(args, where):
-    """Refuse --kappa/--P where no certificate of theirs is checked."""
-    for flag, value in (("--kappa", args.kappa), ("--P", args.p_matrix)):
-        if value is not None:
+_NOT_NONE = {"--eps-tilde-norm": 0.0}  # parser defaults other than None
+
+
+def _single_system_only(args, where, *flags):
+    """Refuse each of the flags that differs from its parser default: it
+    applies to a single system, and here it would be dropped."""
+    for flag in flags:
+        dest = "p_matrix" if flag == "--P" else flag[2:].replace("-", "_")
+        if getattr(args, dest) != _NOT_NONE.get(flag):
             raise ParameterError(f"{flag} applies to a single system{where}")
 
 
@@ -181,7 +186,8 @@ def cmd_params(args):
     obj = sysdsl.load(args.file)
     network = isinstance(obj, sysdsl.NetworkSpec)
     if network:
-        _no_certificate(args, "; a network's nodes take their files' cert lines")
+        _single_system_only(args, "; a network's nodes take theirs from their files",
+                            "--tau", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
         nodes = netcomp.synthesize_params(obj, seed=args.seed).nodes
     elif args.tau is None:
         raise StochabsError("single-system params needs --tau")
@@ -210,7 +216,8 @@ def cmd_abstract(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
-        _no_certificate(args, " with --eps; a network's nodes take their files' cert lines")
+        _single_system_only(args, "; a network's nodes take theirs from their files",
+                            "--tau", "--eta", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
         result = netcomp.synthesize_params(obj, seed=args.seed)
         if not result.feasible:
             return _infeasible(result.nodes)
@@ -242,7 +249,7 @@ def cmd_abstract(args):
             if reason:
                 _unchecked(reason, args.force)
     else:
-        _no_certificate(args, " with --eps, which the pitch is checked against")
+        _single_system_only(args, " with --eps, which the pitch is checked against", "--kappa", "--P")
     abstraction = gridabs.build_abstraction(
         model, args.tau, gridabs.snap_state_pitch(model.domain, args.eta), omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
@@ -369,10 +376,7 @@ def cmd_report(args):
         fails = sum(1 for r in body if r and r[-1] == "FAIL")
         summary.append((path.name, len(body), fails))
         ok = ok and fails == 0
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(summary)
-    for row in summary:
-        print(",".join(str(v) for v in row))
+    _emit_rows(summary, out_dir, "summary.csv")
     return 0 if ok else 1
 
 

@@ -361,7 +361,6 @@ class FiniteAbstraction:
     computed once, by the first serialize or from the text deserialize read.
     """
 
-    system: str
     tau: float
     eta: tuple
     omega: tuple
@@ -396,6 +395,11 @@ class FiniteAbstraction:
     @property
     def dim(self):
         return sum(self.node_dims)
+
+    @property
+    def system(self) -> str:
+        """The name of the system: its node names joined by '+'."""
+        return "+".join(self.node_names)
 
     @property
     def external_names(self) -> tuple:
@@ -530,7 +534,6 @@ def _parse_body(lines) -> FiniteAbstraction:
         pos += count + 1
     succ, ood = _parse_table(lines[pos + 1 : -1], tuple(map(len, sections)))
     a = FiniteAbstraction(
-        system=system,
         tau=tau,
         eta=eta,
         omega=omega,
@@ -750,7 +753,6 @@ def build_abstraction(
     shape = (len(states), len(inputs), len(dists))
 
     return FiniteAbstraction(
-        system=sys.name,
         tau=float(tau),
         eta=eta_t,
         omega=omega_t,

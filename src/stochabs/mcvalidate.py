@@ -5,12 +5,11 @@ Each path draws its Gaussian increments from its own PCG64 stream, the
 one np.random.default_rng([seed, k]) gives for master seed seed and path
 index k, so any single path can be reproduced in isolation bit-exactly
 and results do not depend on how paths are grouped into chunks.  The
-single-path integrator, simulate_em, builds that generator through
-default_rng.  The ensemble kernel derives the PCG64 seeds of a whole
-chunk of paths at once: _path_seeds runs NumPy's SeedSequence hash
-(NEP 19) over the chunk's path indices as uint32 arrays, and each
-generator is seeded from its precomputed row, which gives the same
-streams at a fraction of the per-path cost.
+ensemble kernel derives the PCG64 seeds of a whole chunk of paths at
+once: _path_seeds runs NumPy's SeedSequence hash (NEP 19) over the
+chunk's path indices as uint32 arrays, and each generator is seeded
+from its precomputed row, which gives the same streams at a fraction of
+the per-path cost.
 
 One step-major kernel, simulate_groups, runs every ensemble.  It steps
 groups of configurations that share each path's noise: a group holds
@@ -24,12 +23,13 @@ buffer that all groups read, so each step reads one contiguous row of
 noise and memory does not grow with the step count: a block is
 NOISE_BLOCK steps, or fewer when the chunk is wide, so that the buffer
 holds at most NOISE_BUDGET normals.
-Both integrators share one contraction sigma(x) z, computed in place in
-the freshly evaluated diffusion array, and one divergence test, and
-both add x + f dt + sigma(x) z in that order, which is what makes the
-single path and the ensemble agree bit for bit.  An ensemble step works
-in place in the drift array it evaluates, so it allocates that array,
-the diffusion array and their scratch buffers and no other temporary.
+A step contracts sigma(x) z with _noise_term, in place in the freshly
+evaluated diffusion array, tests divergence with _diverging, and adds
+x + f dt + sigma(x) z in that order, so a one-path loop that calls the
+same two functions in the same order reproduces any ensemble path bit
+for bit; the tests keep such a loop as their oracle.  A step works in
+place in the drift array it evaluates, so it allocates that array, the
+diffusion array and their scratch buffers and no other temporary.
 The moment-closeness and increment suites simulate the same
 configuration, so validate_moments runs them off one ensemble;
 validate_coupled runs delta_iss's pair and bisim_step's paths as two
@@ -64,10 +64,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
-
-
-def _path_rng(seed, path_index):
-    return np.random.default_rng([int(seed), int(path_index)])
 
 
 def _hasher(init, mult):
@@ -128,7 +124,7 @@ def _path_seeds(seed, start, stop):
 
 
 def _chunk_rngs(seed, start, stop):
-    """The generators _path_rng(seed, k) for k = start, ..., stop - 1, from one _path_seeds call."""
+    """The generators np.random.default_rng([seed, k]) for k = start, ..., stop - 1, from one _path_seeds call."""
     # imported here: at module level it would add about 10 ms to import stochabs
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -150,8 +146,9 @@ def _noise_term(s, z):
     j = 0, 1, ...; computed in place in s, which it overwrites, and returned
     as a view of s.
 
-    Both integrators use this one contraction, so any ensemble path is
-    bit-exactly reproducible in isolation whatever r is.
+    The ensemble step and the tests' single-path oracle use this one
+    contraction, so any ensemble path is bit-exactly reproducible in
+    isolation whatever r is.
     """
     acc = s[:, 0]
     acc *= z[0]
@@ -166,44 +163,6 @@ def _noise_term(s, z):
 def _diverging(x):
     """Mask of the paths (columns) with a NaN, an infinity or an entry past the limit."""
     return ~(np.abs(x) <= _DIVERGE_LIMIT).all(axis=0)
-
-
-@dataclass
-class EMPath:
-    states: np.ndarray  # (steps + 1, n)
-    diverged_at: int | None  # first non-finite step, or None
-
-    @property
-    def diverged(self):
-        return self.diverged_at is not None
-
-
-def simulate_em(sys: SysModel, x0, u, w, tau, steps, seed, path_index=0) -> EMPath:
-    """One Euler-Maruyama path with the (seed, path_index) noise stream.
-
-    u and w are constant vectors or callables of time.  A non-finite or
-    exploding state freezes the path and records the offending step.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    dt = tau / steps
-    sdt = math.sqrt(dt)
-    ufun = u if callable(u) else (lambda t, _v=np.atleast_1d(np.asarray(u, float)): _v)
-    wfun = w if callable(w) else (lambda t, _v=np.atleast_1d(np.asarray(w, float)): _v)
-    z = _path_rng(seed, path_index).standard_normal((steps, sys.r))
-    out = np.empty((steps + 1, sys.n))
-    x = np.atleast_1d(np.asarray(x0, float)).copy()
-    out[0] = x
-    for k in range(steps):
-        t = k * dt
-        f = sys.drift_eval(x, ufun(t), wfun(t))
-        s = sys.diffusion_eval(x)
-        x = x + f * dt + _noise_term(s, sdt * z[k])
-        if _diverging(x):
-            out[k + 1 :] = out[k]
-            return EMPath(states=out, diverged_at=k + 1)
-        out[k + 1] = x
-    return EMPath(states=out, diverged_at=None)
 
 
 def _constant_rows(value, dim, n_paths):
@@ -263,7 +222,7 @@ class _Group:
 
     def step(self, sys, zk, dt):
         x = self.x
-        nxt = sys.drift_eval(x, self.u, self.w)  # x + f dt + sigma z, as simulate_em adds it, in place
+        nxt = sys.drift_eval(x, self.u, self.w)  # x + f dt + sigma z, in that order, in place
         nxt *= dt
         np.add(x, nxt, out=nxt)
         nxt += _noise_term(sys.diffusion_eval(x), zk)

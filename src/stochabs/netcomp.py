@@ -98,7 +98,6 @@ class NodeSynthesis:
     eps: float | None  # None until synthesize_node picks the default
     psi_tau: float
     eps_tilde_norm: float
-    feasible: bool = False
     eps_floor: float = math.nan
     eta: tuple = ()  # per-axis pitch, () when infeasible
     omega: tuple = ()
@@ -106,6 +105,10 @@ class NodeSynthesis:
     reason: str | None = None
     kit: BoundKit | None = None  # the gains derived from the verified certificate
     mode: str | None = None  # how the certificate was checked: linear-exact or sampled
+
+    @property
+    def feasible(self):  # every infeasible return says why
+        return self.reason is None
 
 
 @dataclass
@@ -174,7 +177,6 @@ def synthesize_node(
     eta_target = min(bound, eps) if eta_cap is None else min(bound, eps, eta_cap)
     node.eta = snap_state_pitch(sys.domain, eta_target)
     node.omega = snap_input_pitch(sys.input_box, omega) if sys.m else ()
-    node.feasible = True
     return node
 
 
@@ -217,7 +219,7 @@ def build_node_abstraction(
     )
     # Composition wires blocks by network node name, so label the part
     # with its node name rather than the underlying system name.
-    return replace(abs_i, system=spec.node_names[i], node_names=(spec.node_names[i],))
+    return replace(abs_i, node_names=(spec.node_names[i],))
 
 
 def composed_relation_params(spec: NetworkSpec, subset):
@@ -326,7 +328,6 @@ def compose_abstractions(spec: NetworkSpec, parts) -> FiniteAbstraction:
 
     composed_eps, composed_et = composed_relation_params(spec, subset)
     return FiniteAbstraction(
-        system="+".join(n for p in parts for n in p.node_names),
         tau=parts[0].tau,
         eta=tuple(v for p in parts for v in p.eta),
         omega=tuple(v for p in parts for v in p.omega),

@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelError, ParseError
-from .expr import compile_array, free_vars, parse_expr
+from .errors import ExprEvalError, ModelError, ParseError
+from .expr import Bin, Lit, Pow, Var, compile_array, free_vars, parse_expr, to_source
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,35 @@ def _meaningful_lines(text):
             yield lineno, line
 
 
+def _constant_subtrees(e, found) -> bool:
+    """Whether e holds no variable; appends to found each subtree of e that
+    holds none and is not a literal, inner ones first."""
+    if isinstance(e, (Var, Lit)):
+        return isinstance(e, Lit)
+    kids = (e.lhs, e.rhs) if isinstance(e, Bin) else (e.base,) if isinstance(e, Pow) else (e.arg,)
+    constant = all([_constant_subtrees(k, found) for k in kids])
+    if constant:
+        found.append(e)
+    return constant
+
+
+def _check_constants(e, lineno):
+    """Refuse a subtree of e with no variable whose value is not finite,
+    evaluated as the compiled model evaluates it."""
+    found = []
+    _constant_subtrees(e, found)
+    for sub in found:
+        try:
+            with np.errstate(all="ignore"):
+                value = compile_array({(0,): sub}, (1,), "x")(np.zeros(1))[0]
+        except ExprEvalError as exc:
+            raise ParseError(str(exc), lineno) from None
+        except OverflowError:  # a Python float power
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParseError(f"constant {to_source(sub)} is not finite", lineno)
+
+
 def parse_system(text: str) -> SysModel:
     """Parse a system description; all structural invariants are checked here."""
     name = None
@@ -237,6 +266,7 @@ def parse_system(text: str) -> SysModel:
             if idx in drift:
                 raise ParseError(f"duplicate drift for x{idx}", lineno)
             drift[idx] = parse_expr(m.group(2), dims[:3], lineno, col_offset=len(line) - len(m.group(2)))
+            _check_constants(drift[idx], lineno)
         elif word == "diff":
             if dims is None:
                 raise ParseError("dims must precede diff lines", lineno)
@@ -254,6 +284,7 @@ def parse_system(text: str) -> SysModel:
                     raise ParseError(
                         f"diffusion may depend on state only, found {v.kind}{v.index}", lineno
                     )
+            _check_constants(e, lineno)
             diffusion[(i, k)] = e
         elif word == "const":
             consts = _key_values(rest, lineno)

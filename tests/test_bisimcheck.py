@@ -12,18 +12,17 @@ from stochabs.bisimcheck import (
     largest_bisimulation,
     load_relation,
     save_relation,
-    vector_metric,
 )
 from stochabs.errors import FormatError, ModelError
 from stochabs.gridabs import FiniteAbstraction
 from stochabs.sysdsl import parse_system
-from tests.conftest import table
+from tests.conftest import table, vector_metric
 
 
 def toy(states, transitions, dists=((0.0,),), inputs=((0.0,),), eta=(0.25,)):
     """Hand-built finite system; transitions: {(s,u,d): (succs, ood)}."""
     return FiniteAbstraction(
-        system="toy", tau=1.0, eta=eta, omega=(0.0,), eps=0.0, eps_tilde=(),
+        tau=1.0, eta=eta, omega=(0.0,), eps=0.0, eps_tilde=(),
         states=tuple(states), inputs=tuple(inputs), dists=tuple(dists),
         dist_blocks=(1,) * len(dists[0]), dist_block_nodes=("",) * len(dists[0]),
         node_names=("toy",), node_dims=(len(states[0]),),

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import pathlib
 import re
+import warnings
 
 import pytest
 
@@ -791,6 +792,47 @@ def test_certificate_flag_where_no_certificate_is_checked_is_usage_error(command
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {flag} applies to a single system") and err.count("\n") == 1 and not out
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["params", PAIR, "--tau", "5"], "--tau"),
+        (["params", PAIR, "--eps", "100"], "--eps"),
+        (["params", PAIR, "--omega", "0.1"], "--omega"),
+        (["params", PAIR, "--eps-tilde-norm", "0.1"], "--eps-tilde-norm"),
+        (["abstract", PAIR, "--tau", "0.5"], "--tau"),
+        (["abstract", PAIR, "--eta", "0.01"], "--eta"),
+        (["abstract", PAIR, "--eps", "3"], "--eps"),
+        (["abstract", PAIR, "--omega", "0.1"], "--omega"),
+        (["abstract", PAIR, "--eps-tilde-norm", "0.1"], "--eps-tilde-norm"),
+    ],
+    ids=["params-tau", "params-eps", "params-omega", "params-eps-tilde-norm", "abstract-tau",
+         "abstract-eta", "abstract-eps", "abstract-omega", "abstract-eps-tilde-norm"],
+)
+def test_single_system_flag_on_a_network_is_usage_error(command, flag, tmp_path, capsys):
+    # a network's nodes take tau, their precisions and pitch caps from the files: the flag was dropped
+    assert main([*command, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {flag} applies to a single system") and err.count("\n") == 1 and not out
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize(
+    "drift, constant",
+    [("1e308*10*x1", "1e+308 * 10.0"), ("exp(1000)*x1", "exp(1000.0)")],
+    ids=["product", "exp"],
+)
+@pytest.mark.parametrize("command", ["lint", "certify"])
+def test_overflowing_constant_is_usage_error(command, drift, constant, tmp_path, capsys):
+    # the constant reached the certificate as nan, with a numpy RuntimeWarning
+    path = tmp_path / "big.sys"
+    path.write_text((DATA / "scalar.sys").read_text().replace("-x1 + u1", f"-x1 + {drift} + u1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: line 7: constant {constant} is not finite\n" and not out
 
 
 def _overflow_tau_net(tmp_path):

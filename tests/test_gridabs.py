@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -205,7 +206,7 @@ def test_hash_detects_corruption(scalar_model):
 
 def test_empty_abstraction_roundtrip():
     empty = FiniteAbstraction(
-        system="none", tau=0.5, eta=(0.25,), omega=(), eps=0.0, eps_tilde=(),
+        tau=0.5, eta=(0.25,), omega=(), eps=0.0, eps_tilde=(),
         states=(), inputs=(), dists=(), dist_blocks=(), dist_block_nodes=(),
         node_names=("none",), node_dims=(1,), **table({}, (0, 0, 0)),
     )
@@ -222,7 +223,7 @@ def test_abstraction_equality(scalar_model):
     c = copy.deepcopy(a)
     c.ood[4, 0, 0] = not c.ood[4, 0, 0]
     assert a != c
-    assert a != dataclasses.replace(a, system="other")
+    assert a != dataclasses.replace(a, node_names=("other",))
     assert a != "scalar1"
 
 
@@ -318,12 +319,25 @@ def test_pinned_nonlinear_2d_hash():
     assert a.content_hash() == "0ced2cac92d3fbb6ef7f56a72479ebd07fe057f6b9132aeeedcb9161c536362f"
 
 
-def test_pinned_composed_pair_hash(pair_net):
+def _composed_pair(pair_net):
     res = netcomp.synthesize_params(pair_net)
     etas = {i: node.eta for i, node in enumerate(res.nodes)}
     omegas = {i: node.omega for i, node in enumerate(res.nodes)}
     parts = [netcomp.build_node_abstraction(pair_net, i, etas, omegas) for i in range(2)]
-    assert netcomp.compose_abstractions(pair_net, parts).content_hash() == PAIR_NET_HASH
+    return netcomp.compose_abstractions(pair_net, parts)
+
+
+def test_pinned_composed_pair_hash(pair_net):
+    assert _composed_pair(pair_net).content_hash() == PAIR_NET_HASH
+
+
+def test_composed_system_line_must_join_the_node_names(pair_net):
+    # system is derived from the node names, so a file that says otherwise is refused
+    body = _composed_pair(pair_net).serialize().rsplit("hash ", 1)[0]
+    assert "\nsystem a+b\ncomposed a:1 b:1 external\n" in body
+    bad = body.replace("\nsystem a+b\n", "\nsystem pair\n", 1)
+    with pytest.raises(FormatError, match="line 2 reads 'system pair', expected 'system a\\+b'"):
+        deserialize(bad + f"hash {hashlib.sha256(bad.encode()).hexdigest()}\n")
 
 
 def _quadratic_2d():

@@ -8,7 +8,6 @@ import pytest
 from stochabs import certify, gridabs, mcvalidate, sysdsl
 from stochabs.expr import Bin, Lit, Pow, Var
 from stochabs.mcvalidate import (
-    simulate_em,
     simulate_ensemble,
     simulate_groups,
     validate_bisim_step,
@@ -18,6 +17,7 @@ from stochabs.mcvalidate import (
     validate_moment_closeness,
     validate_moments,
 )
+from tests.conftest import simulate_em
 
 SEED = 1729
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from stochabs import bisimcheck, certify, gridabs, netcomp, sysdsl
-from stochabs.bisimcheck import vector_metric
 from stochabs.errors import CertificateError, ModelError, ParameterError
-from tests.conftest import DATA, table
+from tests.conftest import DATA, table, vector_metric
 from tests.test_bisimcheck import _oracle_check
 
 
