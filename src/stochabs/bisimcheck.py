@@ -16,15 +16,20 @@ row-major order: the order of ``np.nonzero`` and of relation files.
 
 Both sides share the array code, whether they are one abstraction or
 two.  The eps-close state candidates and the admissible disturbance
-pairs are one builder (_close), axis by axis in row blocks.
-check_relation puts the relation in an (n1, n2) bool matrix, takes the
-related pairs from one np.nonzero and walks them in row-major slices of
+pairs are one builder (_close), axis by axis in row blocks.  Each side
+plays from its move table (_moves): a state's distinct input rows,
+padded to the widest state's count by repeating its first move, since
+inputs with equal successor rows are the same move of the game.  The
+relation lives in two padded bool matrices, (n1 + 1, n2 + 1) and its
+transpose for clause (c), each built once from the pairs' index arrays
+(_padded).  check_relation walks its pairs in table order in slices of
 at most STEP_LOOKUPS relation lookups, gathering the relation at every
-pair of successors of a slice at once; clause (c) reads the transpose.
-So it names the first failing pair in the table's order with its first
-failing clause.  The greatest fixpoint runs the same kernel in Jacobi
-rounds, removing every failing pair after each, whether the sides are
-one abstraction or two; its result does not depend on removal order.
+pair of successors of a slice at once, so it names the first failing
+pair with its first failing clause.  The greatest fixpoint runs the
+same kernel in Jacobi rounds over the alive pairs, held as index arrays
+that shrink each round: every pair that fails is cleared from both
+matrices after the round, so its result does not depend on removal
+order.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .gridabs import FiniteAbstraction, _check_precisions, _g17
 from .sysdsl import read_text
 
 _TOL = 1e-12
-#: Most relation lookups (pairs x inputs1 x inputs2 x admissible disturbance
+#: Most relation lookups (pairs x moves1 x moves2 x admissible disturbance
 #: pairs x k1 x k2, a byte each) one array step of a relation check makes, and
 #: most bytes of float differences one row block of _close holds: bounds the
 #: working arrays whatever the relation's density.
@@ -115,14 +120,43 @@ def _admissible_dist_pairs(s1, s2, eps_tilde):
     return np.array(np.nonzero(close))
 
 
-def _padded(R):
-    """R inside a copy with one more row and column.  The extra row is
-    True, so an absent challenger successor (-1) holds vacuously; the
-    extra column is False, so an absent responder successor matches
-    nothing.  A -1 in a successor array then indexes the pad directly."""
-    n1, n2 = R.shape
+def _moves(succ):
+    """succ (S, U, D, k) with each state's distinct input rows first, in
+    input order, padded to the widest state's count by repeating that
+    state's first move; succ itself when no state narrows.
+
+    Rows are canonical (successors ascending, padded with -1), so equal
+    rows are equal moves, and a repeated move changes no any/all of the
+    game.
+    """
+    n, u = succ.shape[:2]
+    if u < 2 or succ.size == 0:
+        return succ
+    rows = np.ascontiguousarray(succ).reshape(n, u, -1)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[2])))[..., 0]  # (S, U): one per row
+    order = np.argsort(key, axis=1, kind="stable")  # equal rows adjacent, first input first
+    ranked = np.take_along_axis(key, order, axis=1)
+    new = np.ones((n, u), bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty_like(new)  # each distinct row's first input, in input order
+    np.put_along_axis(first, order, new, axis=1)
+    count = first.sum(axis=1)
+    width = count.max()
+    if width == u:
+        return succ
+    pick = np.argsort(~first, axis=1, kind="stable")[:, :width]
+    pick = np.where(np.arange(width) < count[:, None], pick, pick[:, :1])
+    return succ[np.arange(n)[:, None], pick]
+
+
+def _padded(n1, n2, I, J):
+    """The (n1 + 1, n2 + 1) bool matrix of the pairs (I[p], J[p]) with one
+    more row and column.  The extra row is True, so an absent challenger
+    successor (-1) holds vacuously; the extra column is False, so an
+    absent responder successor matches nothing.  A -1 in a successor
+    array then indexes the pad directly."""
     Rx = np.zeros((n1 + 1, n2 + 1), bool)
-    Rx[:n1, :n2] = R
+    Rx[I, J] = True
     Rx[n1] = True
     return Rx
 
@@ -130,38 +164,43 @@ def _padded(R):
 def _answers(Rx, succ_c, succ_r, I, J, adm):
     """Clause (b) at each pair (I[p], J[p]) against the padded relation Rx.
 
-    For every challenger input some responder input answers every
+    For every challenger move some responder move answers every
     admissible disturbance pair (adm: challenger and responder index
     arrays), each challenger successor by a related responder successor.
     """
-    c = succ_c[I][:, :, adm[0]]  # (pairs, challenger inputs, pairs of adm, k)
-    r = succ_r[J][:, :, adm[1]]  # (pairs, responder inputs, pairs of adm, k)
+    c = succ_c[I][:, :, adm[0]]  # (pairs, challenger moves, pairs of adm, k)
+    r = succ_r[J][:, :, adm[1]]  # (pairs, responder moves, pairs of adm, k)
     hit = Rx[c[:, :, None, :, :, None], r[:, None, :, :, None, :]]
     return hit.any(axis=5).all(axis=(3, 4)).any(axis=2).all(axis=1)
 
 
-def _failures(s1, s2, R, eps, adm):
-    """The related pairs (I, J) of R in row-major order, and the first
-    clause each fails against R (0 none, 1 to 3 for 'a' to 'c'), in
-    slices that make at most STEP_LOOKUPS relation lookups (at least one
-    pair each).  adm is the (2, P) array of admissible disturbance pairs."""
-    x1, x2 = _points(s1.states, s1.dim), _points(s2.states, s2.dim)
-    Rx, Rt = _padded(R), _padded(R.T)
+def _failures(game, Rx, Rt, I, J, eps):
+    """The first clause each pair (I[p], J[p]) fails (0 none, 1 to 3 for
+    'a' to 'c') against the padded relation Rx and its transpose Rt,
+    yielded as (start, first) in slices that make at most STEP_LOOKUPS
+    relation lookups (at least one pair each)."""
+    x1, x2, m1, m2, adm = game
     tests = (
         lambda I, J: (np.abs(x1[I] - x2[J]) <= eps + _TOL).all(axis=1),
-        lambda I, J: _answers(Rx, s1.succ, s2.succ, I, J, adm),
-        lambda I, J: _answers(Rt, s2.succ, s1.succ, J, I, adm[::-1]),
+        lambda I, J: _answers(Rx, m1, m2, I, J, adm),
+        lambda I, J: _answers(Rt, m2, m1, J, I, adm[::-1]),
     )
-    (_, u1, _, k1), (_, u2, _, k2) = s1.succ.shape, s2.succ.shape
+    (_, u1, _, k1), (_, u2, _, k2) = m1.shape, m2.shape
     step = max(1, STEP_LOOKUPS // (u1 * u2 * adm.shape[1] * k1 * k2 or 1))
-    I_all, J_all = np.nonzero(R)
-    for a in range(0, I_all.size, step):
-        I, J = I_all[a : a + step], J_all[a : a + step]
-        first = np.zeros(I.size, np.int8)
+    for a in range(0, I.size, step):
+        I_a, J_a = I[a : a + step], J[a : a + step]
+        first = np.zeros(I_a.size, np.int8)
         for clause, holds in enumerate(tests, 1):
             todo = np.flatnonzero(first == 0)
-            first[todo[~holds(I[todo], J[todo])]] = clause
-        yield I, J, first
+            first[todo[~holds(I_a[todo], J_a[todo])]] = clause
+        yield a, first
+
+
+def _game(s1, s2, eps_tilde):
+    """Both sides' state points and move tables, and the (2, P) array of
+    admissible disturbance pairs: what _failures reads of s1 and s2."""
+    adm = _admissible_dist_pairs(s1, s2, eps_tilde)
+    return _points(s1.states, s1.dim), _points(s2.states, s2.dim), _moves(s1.succ), _moves(s2.succ), adm
 
 
 def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTable) -> CheckResult:
@@ -173,18 +212,17 @@ def check_relation(s1: FiniteAbstraction, s2: FiniteAbstraction, rel: RelationTa
     if s1.dim != s2.dim:
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     n1, n2 = len(s1.states), len(s2.states)
-    outside = (rel.first < 0) | (rel.first >= n1) | (rel.second < 0) | (rel.second >= n2)
+    I, J = rel.first, rel.second
+    outside = (I < 0) | (I >= n1) | (J < 0) | (J >= n2)
     if outside.any():
         p = outside.argmax()  # the first in the table's order, so the smallest
-        raise FormatError(f"relation pair ({rel.first[p]}, {rel.second[p]}) is outside the {n1} x {n2} states")
-    adm = _admissible_dist_pairs(s1, s2, rel.eps_tilde)
-    R = np.zeros((n1, n2), bool)
-    R[rel.first, rel.second] = True
-    for I, J, first in _failures(s1, s2, R, rel.eps, adm):
+        raise FormatError(f"relation pair ({I[p]}, {J[p]}) is outside the {n1} x {n2} states")
+    game = _game(s1, s2, rel.eps_tilde)
+    for a, first in _failures(game, _padded(n1, n2, I, J), _padded(n2, n1, J, I), I, J, rel.eps):
         bad = np.flatnonzero(first)
         if bad.size:
-            p = bad[0]
-            return CheckResult(valid=False, pair=(int(I[p]), int(J[p])), clause="abc"[first[p] - 1])
+            p = a + bad[0]
+            return CheckResult(valid=False, pair=(int(I[p]), int(J[p])), clause="abc"[first[bad[0]] - 1])
     return CheckResult(valid=True)
 
 
@@ -203,15 +241,19 @@ def largest_bisimulation(
         raise ModelError(f"state dimensions differ: {s1.dim} vs {s2.dim}")
     eps_tilde = tuple(eps_tilde)
     _check_precisions(eps, eps_tilde, ParameterError)
-    adm = _admissible_dist_pairs(s1, s2, eps_tilde)
-    R = _close(_points(s1.states, s1.dim), _points(s2.states, s2.dim), (eps,) * s1.dim)
+    game = _game(s1, s2, eps_tilde)
+    n1, n2 = len(s1.states), len(s2.states)
+    I, J = np.nonzero(_close(*game[:2], (eps,) * s1.dim))
+    Rx, Rt = _padded(n1, n2, I, J), _padded(n2, n1, J, I)
     while True:
-        bad = [(I[f > 0], J[f > 0]) for I, J, f in _failures(s1, s2, R, eps, adm)]
-        if not any(I.size for I, _ in bad):
-            break
-        for I, J in bad:
-            R[I, J] = False
-    return RelationTable(*np.nonzero(R), eps, eps_tilde)
+        bad = np.zeros(I.size, bool)
+        for a, first in _failures(game, Rx, Rt, I, J, eps):
+            bad[a : a + first.size] = first > 0
+        if not bad.any():
+            return RelationTable(I, J, eps, eps_tilde)
+        Rx[I[bad], J[bad]] = False
+        Rt[J[bad], I[bad]] = False
+        I, J = I[~bad], J[~bad]
 
 
 # ---------------------------------------------------------------------------

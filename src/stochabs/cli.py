@@ -424,11 +424,13 @@ def build_parser():
     p = sub.add_parser("params", formatter_class=width,
                        help="compute quantization parameters (term ledger / network synthesis)")
     p.add_argument("file", help="system or network description file")
-    p.add_argument("--tau", type=float, help="sampling period (required for a system file)")
-    p.add_argument("--eps", type=float, help="precision (default: above the computed floor)")
-    p.add_argument("--omega", type=float, help="input pitch cap (default: input-box width)")
+    p.add_argument("--tau", type=float, help="sampling period (single system only, and required there)")
+    p.add_argument("--eps", type=float,
+                   help="precision (single system only; default: above the computed floor)")
+    p.add_argument("--omega", type=float,
+                   help="input pitch cap (single system only; default: input-box width)")
     p.add_argument("--eps-tilde-norm", type=float, default=0.0,
-                   help="disturbance mismatch norm (default %(default)s)")
+                   help="disturbance mismatch norm (single system only; default %(default)s)")
     _add_common(p, out=True, cert=" (single system only)")
     p.set_defaults(fn=cmd_params)
 
@@ -437,10 +439,12 @@ def build_parser():
     p.add_argument("file", help="system or network description file")
     p.add_argument("--tau", type=float, help="sampling period (single-system mode)")
     p.add_argument("--eta", type=float, help="state pitch target (single-system mode)")
-    p.add_argument("--omega", type=float, help="input pitch target")
-    p.add_argument("--eps", type=float, help="precision the pitch is validated against")
+    p.add_argument("--omega", type=float, help="input pitch target (single-system mode)")
+    p.add_argument("--eps", type=float,
+                   help="precision the pitch is validated against (single-system mode)")
     p.add_argument("--eps-tilde-norm", type=float, default=0.0,
-                   help="disturbance mismatch norm recorded in the file (default %(default)s)")
+                   help="disturbance mismatch norm recorded in the file "
+                   "(default %(default)s; single-system mode)")
     p.add_argument("--force", action="store_true",
                    help="build even when parameters fail validation (warning emitted)")
     p.add_argument("--max-cells", type=int, default=250_000,

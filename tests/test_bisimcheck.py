@@ -544,9 +544,88 @@ def test_self_path_never_builds_pairs(monkeypatch, tmp_path, pair_net):
         assert set(zip(loaded.first.tolist(), loaded.second.tolist())) == pairs
 
 
+def _rows(rng, n, n_d, k):
+    """One move: a canonical row of 1 to k ascending successors per disturbance."""
+    return [tuple(sorted(rng.choice(n, int(rng.integers(1, min(k, n) + 1)), replace=False).tolist()))
+            for _ in range(n_d)]
+
+
+def _duplicated_transitions(rng, n, n_u, n_d, k):
+    """{(s, u, d): (successors, False)} where each state's n_u >= 3 inputs
+    play its 2 to n_u - 1 random moves, each at least once, in random order."""
+    trans = {}
+    for s in range(n):
+        moves = [_rows(rng, n, n_d, k) for _ in range(int(rng.integers(2, n_u)))]
+        played = rng.permutation(np.r_[np.arange(len(moves)), rng.integers(len(moves), size=n_u - len(moves))])
+        for u, m in enumerate(played):
+            for d in range(n_d):
+                trans[(s, u, d)] = (moves[m][d], False)
+    return trans
+
+
+def test_moves_match_the_distinct_rows():
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        n, n_u, n_d, k = (int(rng.integers(a, b)) for a, b in ((1, 7), (3, 7), (1, 4), (1, 4)))
+        succ = table(_duplicated_transitions(rng, n, n_u, n_d, k), (n, n_u, n_d))["succ"]
+        moves = bisimcheck._moves(succ)
+        distinct = [list(dict.fromkeys(map(bytes, succ[s]))) for s in range(n)]  # in input order
+        width = max(map(len, distinct))
+        assert width < n_u and moves.shape == (n, width, *succ.shape[2:]) and moves.dtype == succ.dtype
+        for s, rows in enumerate(distinct):
+            assert [bytes(m) for m in moves[s, : len(rows)]] == rows
+            assert (moves[s, len(rows) :] == moves[s, 0]).all()  # padding repeats the first move
+    # no state narrows: the table itself, as for the empty abstraction
+    for succ in (np.arange(24).reshape(2, 3, 4, 1), np.full((0, 3, 2, 1), -1), np.zeros((4, 1, 2, 1), int)):
+        assert bisimcheck._moves(succ) is succ
+
+
+def _duplicated_instance(rng):
+    """A random finite system whose inputs repeat its moves, plus eps and eps_tilde > 0."""
+    n, n_u, n_d = int(rng.integers(2, 9)), int(rng.integers(3, 6)), int(rng.integers(1, 3))
+    states = [(float(np.round(rng.uniform(-1, 1), 3)),) for _ in range(n)]
+    dists = [(float(np.round(rng.uniform(-0.2, 0.2), 3)),) for _ in range(n_d)]
+    trans = _duplicated_transitions(rng, n, n_u, n_d, 2)
+    s = toy(states, trans, dists=tuple(dists), inputs=tuple((float(u),) for u in range(n_u)))
+    return s, float(rng.uniform(0.3, 2.0)), (float(rng.uniform(0.05, 0.3)),)
+
+
+def _duplicated_cases(rng, count):
+    """(s1, s2, eps, eps_tilde): one abstraction with repeated moves on both
+    sides, then two distinct ones, count of each."""
+    cases = []
+    for _ in range(count):
+        s, eps, et = _duplicated_instance(rng)
+        (s1, _, _), (s2, _, _) = _duplicated_instance(rng), _duplicated_instance(rng)
+        cases += [(s, s, eps, et), (s1, s2, eps, et)]
+    return cases
+
+
+def test_narrowed_moves_match_the_oracles():
+    rng = np.random.default_rng(31)
+    kept = removed = 0
+    clauses = []
+    for s1, s2, eps, et in _duplicated_cases(rng, 15):
+        assert bisimcheck._moves(s1.succ).shape[1] < len(s1.inputs)
+        greatest, sizes = _oracle_greatest(s1, s2, eps, et)
+        rel = largest_bisimulation(s1, s2, eps, et)
+        assert rel.pairs == greatest
+        kept += len(greatest)
+        removed += sizes[0] - len(greatest)
+        outside = sorted({(i, j) for i in range(len(s1.states)) for j in range(len(s2.states))} - greatest)
+        added = greatest | {outside[int(rng.integers(len(outside)))]} if outside else greatest
+        for pairs in (greatest, frozenset(sorted(greatest)[::2]), added):
+            rel = relation(pairs, eps=eps, eps_tilde=et)
+            mine = check_relation(s1, s2, rel)
+            assert (mine.valid, mine.pair, mine.clause) == _sorted_oracle_check(s1, s2, rel)
+            clauses.append(mine.clause)
+    assert kept > 0 and removed > 0 and {None, "a", "b", "c"} <= set(clauses)
+
+
 def _lookups_per_pair(s1, s2, et):
-    """Relation lookups one clause (b) or (c) test makes for one pair of s1 x s2."""
-    (_, u1, _, k1), (_, u2, _, k2) = s1.succ.shape, s2.succ.shape
+    """Relation lookups one clause (b) or (c) test makes for one pair of s1 x s2:
+    the sides' move widths, not their input counts."""
+    (_, u1, _, k1), (_, u2, _, k2) = bisimcheck._moves(s1.succ).shape, bisimcheck._moves(s2.succ).shape
     return u1 * u2 * bisimcheck._admissible_dist_pairs(s1, s2, et).shape[1] * k1 * k2
 
 
@@ -554,6 +633,7 @@ def test_step_size_does_not_change_results(monkeypatch, pair_net):
     rng = np.random.default_rng(5)
     cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(5))]
     cases = [(s, s, eps, et) for s, eps, et in cases] + _distinct_cases(rng, 3)
+    cases += _duplicated_cases(rng, 3)
     expected = []
     for s1, s2, eps, et in cases:
         rel = largest_bisimulation(s1, s2, eps, et)
@@ -571,7 +651,7 @@ def test_step_size_does_not_change_results(monkeypatch, pair_net):
 def test_no_step_exceeds_the_lookup_budget(monkeypatch, pair_net):
     rng = np.random.default_rng(6)
     cases = [*_multi_dim_cases(pair_net), *(_random_self_instance(rng) for _ in range(3))]
-    cases = [(s, s, eps, et) for s, eps, et in cases] + _distinct_cases(rng, 3)
+    cases = [(s, s, eps, et) for s, eps, et in cases] + _distinct_cases(rng, 3) + _duplicated_cases(rng, 2)
     answers = bisimcheck._answers
     calls = []
 
