@@ -29,20 +29,19 @@ pair with its first failing clause.  The greatest fixpoint runs the
 same kernel in Jacobi rounds over the alive pairs, held as index arrays
 that shrink each round: every pair that fails is cleared from both
 matrices after the round, so its result does not depend on removal
-order.
+order.  Relation files are written and read with the transition table's
+block renderer, integer parse and line compare (gridabs).
 """
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, ModelError, ParameterError
-from .gridabs import FiniteAbstraction, _check_precisions, _g17
+from .gridabs import FiniteAbstraction, _check_framing, _check_lines, _check_precisions, _g17, _ints, _render
 from .sysdsl import read_text
 
 _TOL = 1e-12
@@ -51,8 +50,6 @@ _TOL = 1e-12
 #: most bytes of float differences one row block of _close holds: bounds the
 #: working arrays whatever the relation's density.
 STEP_LOOKUPS = 1 << 18
-#: Pair lines of a relation file formatted in one step.
-LINE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,21 +259,18 @@ def largest_bisimulation(
 REL_HEADER = "STOCHREL v1"
 
 
-def _relation_text(rel: RelationTable, left: str, right: str) -> str:
-    """The relation file of rel between abstractions with these hashes, one
-    line "i j" per pair in the table's order, LINE_BLOCK lines at a time."""
+def _relation_blocks(rel: RelationTable, left: str, right: str):
+    """The relation file of rel between abstractions with these hashes, in
+    blocks of whole lines: the header, then a line "i j" per pair in order."""
     eps_tilde = "".join(" " + _g17(v) for v in rel.eps_tilde)
-    head = f"{REL_HEADER}\nleft {left}\nright {right}\neps {_g17(rel.eps)}\nepstilde{eps_tilde}\n"
-    text = [head + f"pairs {len(rel)}\n"]
-    for a in range(0, len(rel), LINE_BLOCK):
-        block = np.column_stack((rel.first[a : a + LINE_BLOCK], rel.second[a : a + LINE_BLOCK]))
-        text.append(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(text)
+    yield f"{REL_HEADER}\nleft {left}\nright {right}\neps {_g17(rel.eps)}\nepstilde{eps_tilde}\npairs {len(rel)}\n"
+    lines = lambda a, b: ("%d %d\n" * (b - a), np.column_stack((rel.first[a:b], rel.second[a:b])))
+    yield from _render(len(rel), lines)
 
 
 def save_relation(rel: RelationTable, s1: FiniteAbstraction, s2: FiniteAbstraction, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_relation_text(rel, s1.content_hash(), s2.content_hash()))
+        fh.writelines(_relation_blocks(rel, s1.content_hash(), s2.content_hash()))
 
 
 def load_relation(path):
@@ -287,29 +281,17 @@ def load_relation(path):
     ending in a newline and nothing after the last pair.
     """
     text = read_text(path, FormatError)
-    if text.split("\n", 1)[0].removesuffix("\r") != REL_HEADER:  # CRLF fails the line-break check
-        raise FormatError(f"bad header (expected {REL_HEADER!r})")
+    _check_framing(text, REL_HEADER)
     try:
         _, *head, body = text.split("\n", 6)
         (_, left), (_, right), (_, eps), (_, *eps_tilde), _ = (line.split(" ") for line in head)
-        if body[:1] == "\n" or "\n\n" in body:
-            raise ValueError("blank line")
-        # the pair lines' numbers in one parse (junk stops it with a
-        # DeprecationWarning, in later numpy a ValueError)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pairs = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
+        pairs = _ints(body).reshape(-1, 2)
         i, j = pairs.T
         if not ((i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (j[1:] > j[:-1])).all():
-            pairs = np.unique(pairs, axis=0)  # sorted and each once, so the check below names a line
+            pairs = np.unique(pairs, axis=0)  # sorted and each once, so the compare below names a line
         rel = RelationTable(pairs[:, 0], pairs[:, 1], float(eps), tuple(map(float, eps_tilde)))
+        _check_precisions(rel.eps, rel.eps_tilde, FormatError)
+        _check_lines(text, _relation_blocks(rel, left, right))
     except (ValueError, DeprecationWarning) as exc:
         raise FormatError(f"malformed relation file: {exc}") from None
-    _check_precisions(rel.eps, rel.eps_tilde, FormatError)
-    expected = _relation_text(rel, left, right)
-    if text != expected:
-        for n, (got, want) in enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()), 1):
-            if got != want:
-                raise FormatError(f"line {n} reads {got!r}, expected {want!r}")
-        raise FormatError("line breaks differ from the canonical form: each line ends in one newline")
     return rel, left, right

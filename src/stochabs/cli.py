@@ -103,15 +103,16 @@ def _certificate(sys_model, args):
 
 
 _NOT_NONE = {"--eps-tilde-norm": 0.0}  # parser defaults other than None
+_NETWORK_NODES = "applies to a single system; a network's nodes take theirs from their files"
 
 
-def _single_system_only(args, where, *flags):
-    """Refuse each of the flags that differs from its parser default: it
-    applies to a single system, and here it would be dropped."""
+def _refuse_flags(args, why, *flags):
+    """Refuse each of the flags that differs from its parser default: here
+    it would be dropped, for the reason why gives."""
     for flag in flags:
         dest = "p_matrix" if flag == "--P" else flag[2:].replace("-", "_")
         if getattr(args, dest) != _NOT_NONE.get(flag):
-            raise ParameterError(f"{flag} applies to a single system{where}")
+            raise ParameterError(f"{flag} {why}")
 
 
 def cmd_lint(args):
@@ -186,8 +187,7 @@ def cmd_params(args):
     obj = sysdsl.load(args.file)
     network = isinstance(obj, sysdsl.NetworkSpec)
     if network:
-        _single_system_only(args, "; a network's nodes take theirs from their files",
-                            "--tau", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
+        _refuse_flags(args, _NETWORK_NODES, "--tau", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
         nodes = netcomp.synthesize_params(obj, seed=args.seed).nodes
     elif args.tau is None:
         raise StochabsError("single-system params needs --tau")
@@ -216,8 +216,7 @@ def cmd_abstract(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     obj = sysdsl.load(args.file)
     if isinstance(obj, sysdsl.NetworkSpec):
-        _single_system_only(args, "; a network's nodes take theirs from their files",
-                            "--tau", "--eta", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
+        _refuse_flags(args, _NETWORK_NODES, "--tau", "--eta", "--eps", "--omega", "--eps-tilde-norm", "--kappa", "--P")
         result = netcomp.synthesize_params(obj, seed=args.seed)
         if not result.feasible:
             return _infeasible(result.nodes)
@@ -249,7 +248,8 @@ def cmd_abstract(args):
             if reason:
                 _unchecked(reason, args.force)
     else:
-        _single_system_only(args, " with --eps, which the pitch is checked against", "--kappa", "--P")
+        _refuse_flags(args, "applies to a single system with --eps, which the pitch is checked against",
+                      "--kappa", "--P")
     abstraction = gridabs.build_abstraction(
         model, args.tau, gridabs.snap_state_pitch(model.domain, args.eta), omega, eps=eps,
         eps_tilde=(args.eps_tilde_norm,) * model.p if args.eps_tilde_norm else (),
@@ -285,6 +285,8 @@ def cmd_bisim(args):
     same = Path(args.left).resolve() == Path(args.right).resolve()
     s2 = s1 if same else gridabs.read_abstraction(args.right)
     if args.check:
+        _refuse_flags(args, "does not apply with --check: the precisions come from the relation file, and "
+                      "nothing is written", "--eps", "--eps-tilde", "--out")
         rel, lh, rh = bisimcheck.load_relation(args.check)
         if lh != s1.content_hash() or rh != s2.content_hash():
             raise StochabsError("relation file does not match these abstractions (hashes differ)")
@@ -295,7 +297,7 @@ def cmd_bisim(args):
         print(f"invalid: pair {result.pair} violates condition ({result.clause})")
         return 1
     eps_tilde = tuple(_reals(args.eps_tilde, "--eps-tilde")) if args.eps_tilde else ()
-    rel = bisimcheck.largest_bisimulation(s1, s2, args.eps, eps_tilde)
+    rel = bisimcheck.largest_bisimulation(s1, s2, 0.0 if args.eps is None else args.eps, eps_tilde)
     print(f"largest bisimulation: {len(rel)} pairs")
     if args.out:
         out_dir = Path(args.out)
@@ -467,8 +469,8 @@ def build_parser():
                        help="check a relation or compute the largest disturbance bisimulation")
     p.add_argument("left", help="first abstraction file")
     p.add_argument("right", help="second abstraction file")
-    p.add_argument("--check", help="relation file to verify (instead of computing)")
-    p.add_argument("--eps", type=float, default=0.0, help="precision (default %(default)s)")
+    p.add_argument("--check", help="relation file to verify at its own precisions (instead of computing)")
+    p.add_argument("--eps", type=float, help="precision (default 0.0)")
     p.add_argument("--eps-tilde", help="disturbance precisions, space separated")
     _add_common(p, seed=False, out=True)
     p.set_defaults(fn=cmd_bisim)

@@ -14,7 +14,9 @@ substep count it would get integrated alone.  workers > 1 maps the
 chunks to a process pool.
 
 Serialization is a plain text format with a content hash; building is
-deterministic and byte-identical across worker counts.
+deterministic and byte-identical across worker counts.  One block
+renderer (_render) writes transition tables and relation files, and
+reading compares the text block by block with what it writes back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import re
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
@@ -38,6 +40,9 @@ GEOM_SLACK = 1e-9
 
 FORMAT_HEADER = "STOCHABS v1"
 
+#: Lines of a transition table or relation file rendered or compared at once.
+LINE_BLOCK = 1 << 12
+
 #: Cells integrated together by build_abstraction; bounds the flow
 #: kernel's working arrays whatever the abstraction size.
 FLOW_CHUNK = 8192
@@ -47,6 +52,46 @@ DOMAIN_MARGIN = 0.5  # share of the domain's width, per side, a flow may leave b
 
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _render(count, lines):
+    """The text of count lines, LINE_BLOCK at a time, each block filled in
+    one %: lines(a, b) gives the %-format of lines a to b - 1 and an int
+    array of their fields in row-major order."""
+    for a in range(0, count, LINE_BLOCK):
+        form, numbers = lines(a, min(a + LINE_BLOCK, count))
+        yield form % tuple(numbers.ravel().tolist())
+
+
+def _ints(text) -> np.ndarray:
+    """The whitespace-separated integers of text in one parse.  Junk raises:
+    a DeprecationWarning before numpy 2.4, a ValueError from 2.4 on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.fromstring(text, np.int64, sep=" ")
+
+
+def _check_framing(text, header):
+    """Refuse text without the header line, or whose lines do not each end in one newline."""
+    if not text.startswith((header + "\n", header + "\r\n")):
+        raise FormatError(f"bad header (expected {header!r})")
+    if "\r" in text or not text.endswith("\n"):
+        raise FormatError("line breaks differ from the canonical form: lines do not each end in a single newline")
+
+
+def _check_lines(text, chunks):
+    """Raise ValueError naming the first line where text, which ends in a
+    newline, differs from the chunks joined, each whole lines."""
+    pos = 0
+    for chunk in itertools.chain(chunks, [""]):  # "": the end, where nothing more is expected
+        if text.startswith(chunk, pos) and (chunk or pos == len(text)):
+            pos += len(chunk)
+            continue
+        stop = text.find("\n", pos + len(chunk)) + 1 or None  # the first difference is on a line before stop
+        pairs = itertools.zip_longest(text[pos:stop].split("\n")[:-1], chunk.split("\n")[:-1] or [None])
+        for n, (got, want) in enumerate(pairs, text.count("\n", 0, pos) + 1):
+            if got != want:
+                raise ValueError(f"line {n} reads {got!r}, expected {want!r}")
 
 
 @dataclass(frozen=True)
@@ -410,48 +455,41 @@ class FiniteAbstraction:
     def transitions(self) -> Mapping:
         return _TableView(self.succ, self.ood)
 
-    def _header(self) -> list:
-        """Every line of the text form up to the transitions count."""
+    def _header(self) -> str:
+        """The text form up to the transitions count line."""
+        nums = lambda values: "".join(" " + _g17(v) for v in values)
         lines = [FORMAT_HEADER, f"system {self.system}"]
         if len(self.node_names) > 1:
-            parts = [f"{n}:{d}" for n, d in zip(self.node_names, self.node_dims)]
-            ext = "".join(" " + n for n in self.external_names)
-            lines.append("composed " + " ".join(parts) + " external" + ext)
-        lines.append(
-            "tau "
-            + _g17(self.tau)
-            + " eta "
-            + " ".join(_g17(v) for v in self.eta)
-            + " omega "
-            + (" ".join(_g17(v) for v in self.omega) if self.omega else "-")
-            + " eps "
-            + _g17(self.eps)
-        )
-        lines.append("epstilde" + "".join(" " + _g17(v) for v in self.eps_tilde))
-        lines.append(
-            "dblocks"
-            + "".join(
-                f" {s}:{n if n else '-'}" for s, n in zip(self.dist_blocks, self.dist_block_nodes)
-            )
-        )
+            parts = "".join(f" {n}:{d}" for n, d in zip(self.node_names, self.node_dims))
+            lines.append(f"composed{parts} external" + "".join(" " + n for n in self.external_names))
+        eta, omega = " ".join(map(_g17, self.eta)), " ".join(map(_g17, self.omega)) or "-"
+        lines += [
+            f"tau {_g17(self.tau)} eta {eta} omega {omega} eps {_g17(self.eps)}",
+            "epstilde" + nums(self.eps_tilde),
+            "dblocks" + "".join(f" {s}:{n or '-'}" for s, n in zip(self.dist_blocks, self.dist_block_nodes)),
+        ]
         for label, items in (("states", self.states), ("inputs", self.inputs), ("dists", self.dists)):
-            lines.append(f"{label} {len(items)}")
-            for i, coords in enumerate(items):
-                lines.append(f"{i}" + "".join(" " + _g17(c) for c in coords))
-        lines.append(f"transitions {self.ood.size}")
-        return lines
+            lines += [f"{label} {len(items)}", *(f"{i}{nums(coords)}" for i, coords in enumerate(items))]
+        return "\n".join([*lines, f"transitions {self.ood.size}\n"])
+
+    def _blocks(self):
+        """The text form up to the hash line, in blocks of whole lines: the
+        header, then the transition lines "s u d -> [*] successors...",
+        each line's format picked by its (flag, successor count)."""
+        yield self._header()
+        k = self.succ.shape[-1]
+        rows, ood = self.succ.reshape(self.ood.size, k), self.ood.ravel()
+
+        def lines(a, b):
+            block = np.column_stack((*np.unravel_index(np.arange(a, b), self.ood.shape), rows[a:b]))
+            kind = (ood[a:b] * (k + 1) + (rows[a:b] >= 0).sum(axis=1)).tolist()
+            formats = {t: "%d %d %d ->" + " *" * (t // (k + 1)) + " %d" * (t % (k + 1)) + "\n" for t in set(kind)}
+            return "".join([formats[t] for t in kind]), block[block >= 0]
+
+        yield from _render(ood.size, lines)
 
     def serialize(self) -> str:
-        n_s, n_u, n_d, k = self.succ.shape
-        tails = [f" {u} {d} ->" for u, d in itertools.product(range(n_u), range(n_d))]
-        heads = [f"{s}{t}" for s in range(n_s) for t in tails]
-        num = [f" {t}" for t in range(self.succ.max(initial=-1) + 1)]
-        rows = self.succ.reshape(self.ood.size, k).tolist()
-        lines = self._header() + [
-            head + (" *" if ood else "") + "".join([num[t] for t in row if t >= 0])
-            for head, row, ood in zip(heads, rows, self.ood.ravel().tolist())
-        ]
-        body = "\n".join(lines) + "\n"
+        body = "".join(self._blocks())
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_digest", digest)
         return body + f"hash {digest}\n"
@@ -469,36 +507,28 @@ class FiniteAbstraction:
 def deserialize(text: str) -> FiniteAbstraction:
     """Parse the serialized form back; verifies version and content hash.
 
-    Only the exact text serialize writes is accepted, so a file that
-    parses re-serializes to itself.
+    After the structure checks the text is compared, block by block, with
+    what serialize writes for the parsed values: only that exact text is
+    accepted, so a file that parses re-serializes to itself.
     """
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise FormatError(f"bad header (expected {FORMAT_HEADER!r})")
-    body = "\n".join(lines[:-1]) + "\n"
+    _check_framing(text, FORMAT_HEADER)
+    body = text[: text.rfind("\n", 0, -1) + 1]  # all but the hash line
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if lines[-1] != f"hash {digest}":
+    if text[len(body) :] != f"hash {digest}\n":
         raise FormatError("missing or mismatched content hash (file corrupted?)")
-    if text != body + lines[-1] + "\n":
-        raise FormatError("lines do not each end in a single newline")
     try:
-        a = _parse_body(lines)
-    except (IndexError, ValueError) as exc:
+        a = _parse_body(body)
+        _check_lines(body, a._blocks())
+    except (IndexError, ValueError, DeprecationWarning) as exc:
         raise FormatError(f"malformed abstraction file: {exc}") from None
     object.__setattr__(a, "_digest", digest)
     return a
 
 
-_INT = r"(?:0|-?[1-9]\d{0,17})"
-#: One transition line; integers in canonical form.
-_ROW = re.compile(rf"{_INT} {_INT} {_INT} ->(?: \*)?(?: {_INT})*")
-#: Line end marker of the parsed number stream; _INT never matches it.
-_END = -(10**18)
-
-
-def _parse_body(lines) -> FiniteAbstraction:
-    """Parse the header and the table; the header must then be exactly
-    the lines _header renders for the parsed values."""
+def _parse_body(body) -> FiniteAbstraction:
+    """Parse the header lines, up to the transitions count, and the table."""
+    table = body.index("\n", body.index("\ntransitions ") + 1) + 1
+    lines = body[:table].split("\n")
     system, pos = lines[1].split(" ", 1)[1], 2
     node_names, node_dims = (system,), None
     if lines[pos].startswith("composed "):
@@ -532,8 +562,8 @@ def _parse_body(lines) -> FiniteAbstraction:
                 raise ValueError(f"{label} {i} has a coordinate that is not finite")
         sections.append(items)
         pos += count + 1
-    succ, ood = _parse_table(lines[pos + 1 : -1], tuple(map(len, sections)))
-    a = FiniteAbstraction(
+    succ, ood = _parse_table(body[table:], tuple(map(len, sections)))
+    return FiniteAbstraction(
         tau=tau,
         eta=eta,
         omega=omega,
@@ -549,48 +579,33 @@ def _parse_body(lines) -> FiniteAbstraction:
         succ=succ,
         ood=ood,
     )
-    for i, (got, want) in enumerate(itertools.zip_longest(lines[: pos + 1], a._header())):
-        if got != want:
-            raise ValueError(f"line {i + 1} reads {got!r}, expected {want!r}")
-    return a
 
 
-def _parse_table(rows, shape):
-    """(succ, ood) arrays of transition lines; requires one line per
-    (state, input, disturbance) triple in row-major order, in-range
-    indices and ascending successors."""
-    bad = next((r for r in rows if not _ROW.fullmatch(r)), None)
-    if bad is not None:
-        raise FormatError(f"bad transition line: {bad}")
-    text = "\n".join([*rows, ""])
-    # one number stream: "s u d flag successors... END" per line
-    numbers = text.replace(" -> *", " 1").replace(" ->", " 0").replace("\n", f" {_END} ")
-    flat = np.fromstring(numbers, np.int64, sep=" ")
-    ends = np.flatnonzero(flat == _END)
+def _parse_table(table, shape):
+    """(succ, ood) arrays of the transition lines; requires in-range indices,
+    one line per (state, input, disturbance) triple and ascending successors."""
+    end = -(10**18)  # one number stream: "s u d flag successors... end" per line
+    flat = _ints(table.replace(" -> *", " 1").replace(" ->", " 0").replace("\n", f" {end} "))
+    ends = np.flatnonzero(flat == end)
     starts = ends - np.diff(ends, prepend=-1) + 1
     width = ends - starts - 4
     keys, ood = flat[starts[:, None] + np.arange(3)], flat[starts + 3] == 1
     filled = np.arange(width.max(initial=0)) < width[:, None]
     at = np.where(filled, starts[:, None] + 4 + np.arange(filled.shape[1]), 0)
     succ = np.where(filled, flat[at], -1)
-    complete = len(rows) == math.prod(shape)
-    in_order = complete and np.array_equal(keys, np.indices(shape).reshape(3, len(rows)).T)
-    distinct = len(rows) if in_order else len(np.unique(keys, axis=0))
-    if distinct != len(rows):
-        raise FormatError(f"duplicate transitions: {len(rows)} lines for {distinct} triples")
     for name, values, size in zip(
         ("state", "input", "disturbance", "successor"), (*keys.T, succ[filled]), (*shape, shape[0])
     ):
         if values.size and (values.min() < 0 or values.max() >= size):
             bad = values.min() if values.min() < 0 else values.max()
             raise FormatError(f"{name} index {bad} is outside 0..{size - 1}")
-    if not complete:
-        raise FormatError(
-            f"incomplete transition table: {len(rows)} of {math.prod(shape)} "
-            "(state, input, disturbance) triples"
-        )
-    if not in_order:
-        raise FormatError("transitions are not in (state, input, disturbance) order")
+    triples = np.sort((keys[:, 0] * shape[1] + keys[:, 1]) * shape[2] + keys[:, 2])
+    distinct = np.count_nonzero(np.diff(triples, prepend=-1))  # not np.unique, whose first call imports numpy.ma
+    if distinct != len(ends):
+        raise FormatError(f"duplicate transitions: {len(ends)} lines for {distinct} triples")
+    if len(ends) != math.prod(shape):
+        raise FormatError(f"incomplete transition table: {len(ends)} of {math.prod(shape)} "
+                          "(state, input, disturbance) triples")
     if ((succ[:, 1:] <= succ[:, :-1]) & filled[:, 1:]).any():
         raise FormatError("successors are not strictly ascending")
     return succ.reshape(*shape, succ.shape[1]), ood.reshape(shape)

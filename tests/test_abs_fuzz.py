@@ -28,8 +28,15 @@ def _fuzz_body():
 
 
 FUZZ_BODY = _fuzz_body()
-# the body's own tokens, plus junk and non-canonical spellings of numbers
-FUZZ_TOKENS = sorted(set(FUZZ_BODY.split())) + ["", "x", "*", "->", "1e9", "nan", "00", "+1", "-0"]
+# the body's own tokens, plus junk and non-canonical spellings of numbers:
+# numpy's integer parse clamps the first of these to the int64 maximum,
+# reads the second as the parser's line-end marker, takes tab and vertical
+# tab for separators and reads 01 and -0, so it is the structure checks
+# or the compare with the rendered text that refuse them
+FUZZ_TOKENS = sorted(set(FUZZ_BODY.split())) + [
+    "", "x", "*", "->", "1e9", "nan", "00", "+1", "-0", "01",
+    "99999999999999999999", "-1000000000000000000", "1\t2", "1\x0b2",
+]
 EDITS = ["drop line", "copy line", "replace line", "drop token", "copy token", "replace token"]
 # edits of the re-hashed text: the footer line and the line breaks
 FOOTER_EDITS = {

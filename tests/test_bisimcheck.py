@@ -230,6 +230,24 @@ def test_relation_file_roundtrip(tmp_path, scalar_model):
     assert lh == rh == a.content_hash()
 
 
+def test_relation_file_round_trips_across_block_seams(tmp_path, scalar_model, monkeypatch):
+    a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
+    rel = largest_bisimulation(a, a, 0.5, (0.0,))
+    save_relation(rel, a, a, tmp_path / "one.rel")
+    monkeypatch.setattr(gridabs, "LINE_BLOCK", 7)  # 13 pairs: blocks of lines 7-13 and 14-19
+    assert len(rel) == 13
+    save_relation(rel, a, a, tmp_path / "seams.rel")
+    assert (tmp_path / "seams.rel").read_bytes() == (tmp_path / "one.rel").read_bytes()
+    loaded, _, _ = load_relation(tmp_path / "seams.rel")
+    save_relation(loaded, a, a, tmp_path / "again.rel")
+    assert (tmp_path / "again.rel").read_bytes() == (tmp_path / "one.rel").read_bytes()
+    lines = (tmp_path / "one.rel").read_text().splitlines()
+    bad = lines[13].replace(" ", " 0")  # the same pair, first in the second block
+    (tmp_path / "bad.rel").write_text("\n".join([*lines[:13], bad, *lines[14:]]) + "\n")
+    with pytest.raises(FormatError, match=f"line 14 reads {bad!r}, expected {lines[13]!r}"):
+        load_relation(tmp_path / "bad.rel")
+
+
 def test_relation_arrays_are_read_only_and_sorted(scalar_model):
     a = gridabs.build_abstraction(scalar_model, 0.5, 0.25, 0.1)
     rel = largest_bisimulation(a, a, 0.5, (0.0,))

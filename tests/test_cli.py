@@ -461,6 +461,31 @@ def test_bisim_malformed_abs_is_usage_error(pattern, repl, tmp_path, capsys):
     assert "malformed abstraction file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pattern, repl, line",
+    [
+        (r"^(0 0 0 ->) 1$", r"\1 01", 17),
+        (r"^0 0 0 ->", "-0 0 0 ->", 17),
+        (r"^1 0 0 ->", "1\t0 0 ->", 18),
+        (r"^2 0 0 ->", "2\x0b0 0 ->", 19),
+        (r"^(2 0 0 -> 2)\n", rf"\1 {-10**18} ", 19),
+        (r"^4 0 0 ->", "4 0 0 99999999999999999999", 21),
+    ],
+    ids=["leading-zero", "minus-zero", "tab", "vertical-tab", "line-end-marker", "clamped"],
+)
+def test_bisim_names_the_line_of_a_number_spelled_otherwise(pattern, repl, line, tmp_path, capsys):
+    # numpy's integer parse reads these (the last as the int64 maximum, the
+    # one before as its own line-end marker); the compare with the rendered
+    # text refuses them
+    body = _scalar_abs_body(tmp_path)
+    bad_body = re.sub(pattern, repl, body, count=1, flags=re.M)
+    got, want = bad_body.split("\n")[line - 1], body.split("\n")[line - 1]
+    bad = _write_rehashed(tmp_path / "bad.abs", bad_body)
+    assert main(["bisim", str(bad), str(bad), "--eps", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: malformed abstraction file: line {line} reads {got!r}, expected {want!r}\n"
+
+
 def _scalar_abs_body(tmp_path):
     """Body of a scalar .abs file (5 states, 1 input, 1 disturbance), without its hash line."""
     out = tmp_path / "abs"
@@ -534,6 +559,23 @@ def test_bisim_check_rejects_relation_pair_out_of_range(tmp_path, capsys):
     rel.write_text(text.replace(f"pairs {count}\n", f"pairs {count + 1}\n") + "99999 0\n")
     assert main(["bisim", left, left, "--check", str(rel)]) == 2
     assert "relation pair (99999, 0) is outside the 5 x 5 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--eps", "5"], ["--eps-tilde", "3"], ["--out", "zz"]],
+                         ids=["eps", "eps-tilde", "out"])
+def test_bisim_check_refuses_the_flags_it_would_drop(flags, tmp_path, capsys, monkeypatch):
+    # the check reads eps and eps_tilde from the relation file and writes
+    # nothing: these flags were dropped, and the check passed
+    _scalar_abs_body(tmp_path)
+    left = str(tmp_path / "abs" / "scalar1.abs")
+    assert main(["bisim", left, left, "--eps", "0.3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(["bisim", left, left, "--check", str(tmp_path / "relation.rel"), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {flags[0]} does not apply with --check: the precisions come from the "
+                          "relation file") and err.count("\n") == 1 and not out
+    assert not (tmp_path / "zz").exists()
 
 
 # sha256 of relation.rel and of the stdout of `bisim --out` (the output
