@@ -107,7 +107,6 @@ class CertReport:
     mode: str
     accepted: bool
     margin: float  # max of the decay expression; accepted iff <= tolerance
-    witness: tuple | None = None
 
 
 def _drift_matrix(sys: SysModel):
@@ -184,13 +183,9 @@ def verify_certificate(
     frob = (tmp**2).sum(axis=(0, 1))
     v = 0.5 * np.einsum("is,ij,js->s", d, cert.p, d)
     lhs = quad + 0.5 * frob + 2.0 * cert.kappa * v
-    worst = int(np.argmax(lhs))
-    margin = float(lhs[worst])
+    margin = float(lhs.max())
     accepted = margin <= tol * (1.0 + float(np.abs(v).max()))
-    witness = None
-    if not accepted:
-        witness = (x[:, worst].tolist(), x2[:, worst].tolist(), u[:, worst].tolist(), w[:, worst].tolist())
-    return CertReport(mode=mode, accepted=accepted, margin=margin, witness=witness)
+    return CertReport(mode=mode, accepted=accepted, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -213,9 +208,6 @@ class BoundKit:
     rho_d: ComparisonFunction
     kappa: float
     hess_sqrt_norm_sq: float
-    state_dim: int
-    noise_dim: int
-    l_sigma: float
 
 
 def sup_two_norm_sq(box) -> float:
@@ -271,9 +263,6 @@ def derive_bounds(sys: SysModel, cert: QuadraticCertificate) -> BoundKit:
         rho_d=rho_d,
         kappa=cert.kappa,
         hess_sqrt_norm_sq=cert.hess_sqrt_norm_sq,
-        state_dim=n,
-        noise_dim=sys.r,
-        l_sigma=sys.lsigma,
     )
 
 
@@ -286,7 +275,7 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float) -> float:
     """
     if t < 0:
         raise ParameterError(f"time must be nonnegative, got {t}")
-    if t == 0.0 or kit.l_sigma == 0.0:
+    if t == 0.0 or sys.lsigma == 0.0:
         return 0.0
     # sup of the infinity norm over a box: the largest absolute bound
     sup_d2 = inf_norm(np.ravel(sys.domain)) ** 2
@@ -299,10 +288,10 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float) -> float:
     factor = (
         0.5
         * kit.hess_sqrt_norm_sq
-        * kit.state_dim
-        * min(kit.state_dim, kit.noise_dim)
+        * sys.n
+        * min(sys.n, sys.r)
         * math.exp(-k * t)
-        * kit.l_sigma**2
+        * sys.lsigma**2
     )
     return kit.alpha_low.invert(factor * integral)
 

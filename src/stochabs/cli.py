@@ -18,8 +18,6 @@ import math
 import sys as _sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bisimcheck, certify, gridabs, mcvalidate, netcomp, sysdsl
 from .errors import FormatError, ParameterError, StochabsError
 
@@ -34,14 +32,19 @@ def _fmt(v):
     return str(v)
 
 
+def _write_rows(rows, path):
+    """Write the rows to the CSV file path."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _emit_rows(rows, out_dir, name):
     """Print the rows, and write them to out_dir/name when out_dir is set."""
     for row in rows:
         print(",".join(_fmt(v) for v in row))
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(out_dir) / name, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        _write_rows(rows, Path(out_dir) / name)
 
 
 def _infeasible(nodes, named=True):
@@ -54,7 +57,7 @@ def _infeasible(nodes, named=True):
 
 def _write_abstraction(abstraction, path):
     abstraction.write(path)
-    print(f"{path}: {len(abstraction.states)} states, {len(abstraction.transitions)} transitions, "
+    print(f"{path}: {len(abstraction.states)} states, {abstraction.ood.size} transitions, "
           f"hash {abstraction.content_hash()[:12]}")
 
 
@@ -70,7 +73,7 @@ def _load(path, kind):
 def _require_positive(args, *flags):
     for flag in flags:
         if getattr(args, flag) < 1:
-            raise ParameterError(f"--{flag} must be positive, got {getattr(args, flag)}")
+            raise ParameterError(f"--{flag.replace('_', '-')} must be positive, got {getattr(args, flag)}")
 
 
 def _require_finite(args, *flags):
@@ -211,6 +214,7 @@ def _unchecked(msg, force):
 
 
 def cmd_abstract(args):
+    _require_positive(args, "max_cells", "workers")
     _require_finite(args, "tau", "eta", "omega", "eps", "eps_tilde_norm", "kappa")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,7 +278,7 @@ def cmd_compose(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "composed.abs"
     composed.write(path)
-    print(f"{path}: {len(composed.states)} states, {len(composed.transitions)} transitions")
+    print(f"{path}: {len(composed.states)} states, {composed.ood.size} transitions")
     print(f"eps,{_fmt(composed.eps)}")
     print("epstilde," + " ".join(_fmt(v) for v in composed.eps_tilde))
     return 0
@@ -307,8 +311,11 @@ def cmd_bisim(args):
     return 0 if len(rel) else 1
 
 
+_REPORT_HEADER = ("check", "t", "empirical", "std-error", "bound", "verdict")
+
+
 def cmd_validate(args):
-    _require_positive(args, "paths", "pairs", "steps")
+    _require_positive(args, "paths", "pairs", "steps", "max_cells", "workers")
     _require_finite(args, "tau", "eps", "eps_tilde_norm", "kappa")
     model = _load(args.file, sysdsl.SysModel)
     cert = _certificate(model, args)
@@ -337,10 +344,7 @@ def cmd_validate(args):
         *mcvalidate.validate_coupled(
             model, cert, kit, abstraction, eps,
             a=0.5 * dom[:, 1], a2=0.5 * dom[:, 0],
-            u=ubox[:, 1] if model.m else np.zeros(0),
-            u2=ubox[:, 0] if model.m else np.zeros(0),
-            w=0.3 * wbox[:, 1] if model.p else np.zeros(0),
-            w2=0.3 * wbox[:, 0] if model.p else np.zeros(0),
+            u=ubox[:, 1], u2=ubox[:, 0], w=0.3 * wbox[:, 1], w2=0.3 * wbox[:, 0],
             eps_tilde_norm=args.eps_tilde_norm,
             n_paths=args.paths,
             n_pairs=args.pairs,
@@ -350,13 +354,13 @@ def cmd_validate(args):
     ]
     ok = True
     for rep in reports:
-        rep.write_csv(out_dir / f"{rep.check}.csv")
+        rows = ((r.check, r.label, r.empirical, r.std_error, r.bound, "pass" if r.passed else "FAIL") for r in rep.rows)
+        _write_rows([_REPORT_HEADER, *(map(_fmt, row) for row in rows)], out_dir / f"{rep.check}.csv")
         status = "pass" if rep.passed else "FAIL"
         # a row whose empirical value, std-error and bound are all 0 (an
         # increment over s = t) has margin 0 whatever the run, so it is left out
         worst = min(
-            (r.bound + 3 * r.std_error - r.empirical for r in rep.rows
-             if (r.empirical, r.std_error, r.bound) != (0, 0, 0)),
+            (r.margin for r in rep.rows if (r.empirical, r.std_error, r.bound) != (0, 0, 0)),
             default=math.nan,
         )
         print(f"{rep.check}: {status} ({len(rep.rows)} rows, diverged {rep.diverged}, "

@@ -37,18 +37,22 @@ groups of one pass.
 
 Statistical verdicts use a one-sided 3-standard-error allowance: the
 checked inequalities are upper bounds, so sampling noise may excuse a
-small overshoot but never a systematic violation.
+small overshoot but never a systematic violation.  BoundReport.add
+states the rule once: a row passes when its mean is at most
+bound + 3 se + slack, and keeps that allowance less the mean as its
+margin, which the CLI prints.  The bisim_step sampler reads the
+abstraction's succ array for each cell's successors.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .certify import BoundKit, QuadraticCertificate, increment_constant, noise_gap_bound
+from .errors import ParameterError
 from .gridabs import FiniteAbstraction, flow_nominal, input_lattice
 from .sysdsl import SysModel, inf_norm, sample_box
 
@@ -323,6 +327,7 @@ class BoundRow:
     std_error: float
     bound: float
     passed: bool
+    margin: float  # bound + 3 std-errors + slack - empirical: what the verdict tests, >= 0 iff passed
 
 
 @dataclass
@@ -343,20 +348,11 @@ class BoundReport:
         """Append the row of samples against bound.
 
         The row passes when the sample mean is at most bound + slack plus
-        three standard errors.
+        three standard errors; its margin is that allowance less the mean.
         """
         mean, se = _mean_se(samples)
-        self.rows.append(BoundRow(self.check, label, mean, se, bound, mean <= bound + 3.0 * se + slack))
-
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["check", "t", "empirical", "std-error", "bound", "verdict"])
-            for r in self.rows:
-                wr.writerow(
-                    [r.check, r.label, f"{r.empirical:.10g}", f"{r.std_error:.10g}",
-                     f"{r.bound:.10g}", "pass" if r.passed else "FAIL"]
-                )
+        limit = bound + 3.0 * se + slack
+        self.rows.append(BoundRow(self.check, label, mean, se, bound, mean <= limit, limit - mean))
 
 
 def _mean_se(samples):
@@ -578,14 +574,16 @@ def _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pair
 
     Each pair's target is the successor of its (s, u, d) cell nearest the
     nominal flow; the flows of the distinct cells are one flow_nominal call.
+    Raises ParameterError when 200 draws per pair do not yield n_pairs.
     """
     rng = np.random.default_rng([int(seed), 0x5AFE])
     level = kit.alpha_low(eps**2)
     box = sys.domain_array()
-    dist_box = sys.dist_array().reshape(-1, 2)
-    states = np.asarray(abstraction.states, float)
+    dist_box = sys.dist_array()
+    tables = (abstraction.states, abstraction.inputs, abstraction.dists)
+    states, inputs, dists = (np.asarray(t, float) for t in tables)
+    no_succ = (abstraction.succ < 0).all(axis=-1)
     ilat = input_lattice(sys.input_box, abstraction.omega) if sys.m else None
-    dists = abstraction.dists
 
     x0s = np.empty((n_pairs, sys.n))
     us = np.empty((n_pairs, sys.m))
@@ -597,7 +595,10 @@ def _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pair
     while len(keys) < n_pairs:
         attempts += 1
         if attempts > 200 * n_pairs:
-            raise RuntimeError("pair sampling stalled; relation threshold too tight for D")
+            raise ParameterError(
+                f"pair sampling stalled at eps {eps}: {len(keys)} of {n_pairs} related pairs "
+                f"with a successor in {200 * n_pairs} draws"
+            )
         si = int(rng.integers(len(states)))
         xhat = states[si]
         delta = (rng.random(sys.n) * 2.0 - 1.0) * eps
@@ -613,11 +614,10 @@ def _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pair
             uvec = np.zeros(0)
             ui = 0
         di = int(rng.integers(len(dists)))
-        what = np.asarray(dists[di], float)
-        lo = np.maximum(dist_box[:, 0], what - eps_tilde_norm)
-        hi = np.minimum(dist_box[:, 1], what + eps_tilde_norm)
+        lo = np.maximum(dist_box[:, 0], dists[di] - eps_tilde_norm)
+        hi = np.minimum(dist_box[:, 1], dists[di] + eps_tilde_norm)
         wvec = sample_box(rng, np.column_stack([lo, hi]))
-        if not abstraction.transitions[(si, ui, di)][0]:
+        if no_succ[si, ui, di]:
             skipped += 1
             continue
         x0s[len(keys)] = x
@@ -626,19 +626,14 @@ def _sample_bisim_pairs(sys, cert, kit, abstraction, eps, eps_tilde_norm, n_pair
         keys.append((si, ui, di))
 
     cells = list(dict.fromkeys(keys))
-
-    def column(table, axis, dim):
-        return np.array([table[c[axis]] for c in cells], float).reshape(len(cells), dim).T
-
-    zbar = flow_nominal(
-        sys, column(states, 0, sys.n), column(abstraction.inputs, 1, sys.m),
-        column(dists, 2, sys.p), abstraction.tau, tol=1e-10,
-    ).endpoint
-    best = {}
-    for j, cell in enumerate(cells):
-        succ = abstraction.transitions[cell][0]
-        best[cell] = min(succ, key=lambda s: np.abs(states[s] - zbar[:, j]).max())
-    targets = states[[best[c] for c in keys]].reshape(n_pairs, sys.n)
+    si, ui, di = np.array(cells).T
+    zbar = flow_nominal(sys, states[si].T, inputs[ui].T, dists[di].T, abstraction.tau, tol=1e-10).endpoint
+    # each cell's successor nearest its flow; the pads (-1) never win, and
+    # argmin keeps the first of equal gaps
+    rows = abstraction.succ[si, ui, di]
+    gaps = np.where(rows >= 0, np.abs(states[rows] - zbar.T[:, None]).max(axis=2), np.inf)
+    nearest = dict(zip(cells, rows[np.arange(len(cells)), gaps.argmin(axis=1)]))
+    targets = states[[nearest[c] for c in keys]]
     return _BisimPairs(x0s, us, ws, targets, level, skipped)
 
 

@@ -85,14 +85,15 @@ class SysModel:
         # the compiled functions cannot be pickled; a copy compiles its own
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
+    # each box as a (dim, 2) array of [lo, hi] rows, also when dim is 0
     def domain_array(self):
-        return np.array(self.domain, float)
+        return np.array(self.domain, float).reshape(-1, 2)
 
     def input_array(self):
-        return np.array(self.input_box, float)
+        return np.array(self.input_box, float).reshape(-1, 2)
 
     def dist_array(self):
-        return np.array(self.dist_box, float)
+        return np.array(self.dist_box, float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

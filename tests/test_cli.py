@@ -184,19 +184,69 @@ def test_network_abstract_compose_bisim(tmp_path, capsys):
                  "--check", str(out / "relation.rel")]) == 2
 
 
+SUITES = ("moment_closeness", "increment_bound", "delta_iss", "bisim_step")
+
+
 def test_validate_and_report(tmp_path, capsys):
     out = tmp_path / "val"
     rc = main(["validate", SCALAR_DET, "--tau", "0.5", "--eps", "0.5",
                "--paths", "400", "--pairs", "10", "--steps", "256",
                "--out", str(out)])
     assert rc == 0
-    for name in ("moment_closeness", "increment_bound", "delta_iss", "bisim_step"):
+    for name in SUITES:
         assert (out / f"{name}.csv").exists()
+    # the printed margin is what the verdict tests, integration slack
+    # included, so a passing suite never prints a negative one
+    margins = re.findall(r"^\w+: pass \(.*worst margin (\S+)\)$", capsys.readouterr().out, flags=re.M)
+    assert len(margins) == 4 and all(float(m) >= 0 for m in margins)
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
     # a FAIL row flips the report exit code
     (out / "fake.csv").write_text("check,t,empirical,std-error,bound,verdict\nx,0,1,0,0,FAIL\n")
     assert main(["report", "--out", str(out)]) == 1
+
+
+ZERO_DIM_SYS = """system zero
+dims n=1 m=0 p=0 r=1
+domain x1 in [-1, 1]
+drift x1' = -x1
+diff sigma[1][1] = 0.2*x1
+const Lf=1 Lsigma=0.2 K=4
+cert kappa=0.9 P=[1]
+"""
+
+
+@pytest.mark.parametrize("system", ["head", "zero"], ids=["p-zero", "m-and-p-zero"])
+def test_validate_without_inputs_or_disturbances(system, tmp_path, capsys):
+    path = DATA / "head.sys"
+    if system == "zero":
+        path = tmp_path / "zero.sys"
+        path.write_text(ZERO_DIM_SYS)
+    out = tmp_path / "val"
+    assert main(["validate", str(path), "--tau", "0.5", "--paths", "400", "--pairs", "10",
+                 "--steps", "256", "--out", str(out)]) == 0
+    for name in SUITES:
+        with open(out / f"{name}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and all(r[-1] == "pass" for r in rows[1:]), name
+    assert capsys.readouterr().out.count(": pass (") == 4
+
+
+@pytest.mark.parametrize(
+    "domain, flags",
+    # a relation box 500 wide on a domain of width 2 rejects almost every
+    # draw; from the domain [2, 3] every flow leaves it, so no cell has a successor
+    [("[-1, 1]", ["--tau", "0.5", "--eps", "500"]), ("[2, 3]", ["--tau", "3"])],
+    ids=["wide-relation", "no-successors"],
+)
+def test_validate_stalled_pair_sampling_is_usage_error(domain, flags, tmp_path, capsys):
+    path = tmp_path / "scalar.sys"
+    path.write_text((DATA / "scalar.sys").read_text().replace("x1 in [-1, 1]", f"x1 in {domain}"))
+    argv = ["validate", str(path), *flags, "--paths", "200", "--pairs", "10", "--steps", "64",
+            "--out", str(tmp_path / "val")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pair sampling stalled at eps ") and "Traceback" not in err
 
 
 def test_validate_below_the_floor_is_infeasible(tmp_path, capsys):
@@ -374,14 +424,27 @@ def test_validate_reports_are_pinned(case, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--pairs", "0"], ["--pairs", "-1"], ["--steps", "0"], ["--steps", "-4"], ["--paths", "0"]],
-    ids=["pairs-zero", "pairs-negative", "steps-zero", "steps-negative", "paths-zero"],
+    [["--pairs", "0"], ["--pairs", "-1"], ["--steps", "0"], ["--steps", "-4"], ["--paths", "0"],
+     ["--workers", "0"], ["--workers", "-3"], ["--max-cells", "0"]],
+    ids=["pairs-zero", "pairs-negative", "steps-zero", "steps-negative", "paths-zero",
+         "workers-zero", "workers-negative", "max-cells-zero"],
 )
 def test_validate_nonpositive_count_is_usage_error(flags, tmp_path, capsys):
     assert main(["validate", SCALAR, "--tau", "0.5", *flags, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[0]} must be positive") and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [[SCALAR, "--tau", "0.5", "--eta", "0.25", "--omega", "0.1"], [PAIR]],
+                         ids=["system", "network"])
+@pytest.mark.parametrize("flags", [["--workers", "-3"], ["--max-cells", "0"]], ids=["workers", "max-cells"])
+def test_abstract_nonpositive_count_is_usage_error(argv, flags, tmp_path, capsys):
+    out = tmp_path / "abs"
+    assert main(["abstract", *argv, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} must be positive") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -499,6 +499,13 @@ def test_bisim_step_negative_control(scalar_det_model, det_cert, det_kit):
     assert not rep.passed
 
 
+def test_row_margin_is_what_the_verdict_tests():
+    rep = mcvalidate.BoundReport(check="x")
+    rep.add("over", [1.0, 1.0], 0.5, slack=0.25)  # se 0: 0.5 + 0.25 - 1 < 0
+    rep.add("slack", [1.0, 1.0], 0.5, slack=0.5)  # 0.5 + 0.5 - 1 = 0
+    assert [(r.margin, r.passed) for r in rep.rows] == [(-0.25, False), (0.0, True)]
+
+
 def test_divergence_ratio_fails_report(scalar_det_model):
     cubic = dataclasses.replace(
         scalar_det_model, drift=(Bin("*", Lit(1e3), Pow(Var("x", 1), 3)),),
