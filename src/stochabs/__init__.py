@@ -2,7 +2,7 @@
 
 The pipeline: describe a controlled diffusion in a small text format
 (sysdsl), verify a quadratic contraction certificate and derive the
-bound functions it induces (certify, cmpfun), pick quantization
+power-law gains it induces (certify), pick quantization
 parameters and build the finite transition system of the sampled
 dynamics (gridabs), compose abstractions over an interconnection network
 (netcomp), decide disturbance bisimilarity between finite systems

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmpfun import (
-    Compose,
-    ComparisonFunction,
-    KLFunction,
-    PowerLaw,
-    Zero,
-    exact_inverse,
-    scale,
-)
-from .errors import CertificateError, ParameterError
+from .errors import CertificateError, InversionError, ParameterError
 from .expr import affine_degrees
 from .sysdsl import SysModel, inf_norm, sample_box
 
@@ -62,10 +53,12 @@ class QuadraticCertificate:
         n = p.shape[0]
         if p.shape != (n, n):
             raise CertificateError(f"P must be square, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise CertificateError("P must have finite entries")
         if not np.allclose(p, p.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(p).max()))):
             raise CertificateError("P must be symmetric")
-        if kappa <= 0:
-            raise CertificateError(f"kappa must be positive, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise CertificateError(f"kappa must be positive and finite, got {kappa}")
         vals = np.linalg.eigvalsh(0.5 * (p + p.T))
         lam_min, lam_max = float(vals[0]), float(vals[-1])
         if lam_min <= 0:
@@ -188,26 +181,80 @@ def verify_certificate(
     return CertReport(mode=mode, accepted=accepted, margin=margin)
 
 
+def _power(coef: float, r, exponent: float) -> float:
+    """coef * r**exponent for r >= 0, and 0.0 for a gain that vanishes (coef = 0)."""
+    r = float(r)
+    if r < 0.0 or math.isnan(r):
+        raise ValueError(f"gain functions take nonnegative arguments, got {r}")
+    return coef * r**exponent if coef else 0.0
+
+
+def _invert_linear(coef: float, y) -> float:
+    """x with coef * x = y, for y >= 0 and coef > 0."""
+    y = float(y)
+    if y < 0.0 or math.isnan(y):
+        raise InversionError(f"cannot invert at negative value {y}")
+    return y / coef if y else 0.0
+
+
 @dataclass(frozen=True)
 class BoundKit:
-    """All scalar gains derived from a verified certificate.
+    """The coefficients of every scalar gain derived from a verified certificate.
 
+    With the quadratic V every gain is a power law c * r**e, so the kit
+    holds the coefficients and evaluates each gain in closed form.
     alpha_low/alpha_high sandwich V against the squared infinity-norm
     distance; sigma_u/sigma_d are the generator's mismatch gains;
     v_modulus bounds |V(x,x') - V(x,x'')| on the working box; beta,
-    rho_u, rho_d are the trajectory-level envelopes built from them.
+    rho_u, rho_d are the trajectory-level envelopes built from them.  A
+    gain that vanishes has coefficient 0.
     """
 
-    alpha_low: ComparisonFunction
-    alpha_high: ComparisonFunction
-    sigma_u: ComparisonFunction
-    sigma_d: ComparisonFunction
-    v_modulus: ComparisonFunction
-    beta: KLFunction
-    rho_u: ComparisonFunction
-    rho_d: ComparisonFunction
-    kappa: float
+    low: float  # alpha_low(s) = low * s
+    high: float  # alpha_high(s) = high * s
+    c_u: float  # sigma_u(r) = c_u * r**2
+    c_d: float  # sigma_d(r) = c_d * r
+    c_v: float  # v_modulus(r) = c_v * r
+    kappa: float  # beta(r, s) = alpha_low^-1(alpha_high(r)) * exp(-kappa * s)
     hess_sqrt_norm_sq: float
+
+    def alpha_low(self, s):
+        return _power(self.low, s, 1.0)
+
+    def alpha_high(self, s):
+        return _power(self.high, s, 1.0)
+
+    def sigma_u(self, r):
+        return _power(self.c_u, r, 2.0)
+
+    def sigma_d(self, r):
+        return _power(self.c_d, r, 1.0)
+
+    def v_modulus(self, r):
+        return _power(self.c_v, r, 1.0)
+
+    def beta(self, r, s):
+        if s < 0.0:
+            raise ValueError(f"time argument must be nonnegative, got {s}")
+        return self.low**-1.0 * self.alpha_high(r) * math.exp(-self.kappa * s)
+
+    def rho_u(self, r):
+        """alpha_low^-1(sigma_u(r) / kappa)."""
+        return self.low**-1.0 * ((1.0 / self.kappa) * self.sigma_u(r))
+
+    def rho_d(self, r):
+        """alpha_low^-1(sigma_d(r) / kappa)."""
+        return self.low**-1.0 * ((1.0 / self.kappa) * self.sigma_d(r))
+
+    def alpha_low_inv(self, y):
+        return _invert_linear(self.low, y)
+
+    def alpha_high_inv(self, y):
+        return _invert_linear(self.high, y)
+
+    def v_modulus_inv(self, y):
+        """The inverse of a v_modulus that does not vanish (c_v > 0)."""
+        return _invert_linear(self.c_v, y)
 
 
 def sup_two_norm_sq(box) -> float:
@@ -237,30 +284,14 @@ def derive_bounds(sys: SysModel, cert: QuadraticCertificate) -> BoundKit:
     V(x,x') - V(x,x'') = (a-b)' P (a+b) / 2 bounded over the domain.
     """
     n = sys.n
-    alpha_low = PowerLaw(0.5 * cert.lambda_min, 1.0)
-    alpha_high = PowerLaw(0.5 * n * cert.lambda_max, 1.0)
-    inv_low = exact_inverse(alpha_low)
     ssq = cert.sqrt_p_norm**2
-    sigma_u = (
-        PowerLaw(n * cert.lu**2 * ssq / cert.kappa, 2.0) if cert.lu > 0 else Zero()
-    )
-    sigma_d = (
-        PowerLaw(n * cert.lw**2 * ssq / cert.kappa, 1.0) if cert.lw > 0 else Zero()
-    )
     diam = inf_diameter(sys.domain)
-    v_modulus = PowerLaw(n * cert.lambda_max * diam, 1.0) if diam > 0 else Zero()
-    beta = KLFunction(base=Compose(inv_low, alpha_high), decay=cert.kappa)
-    rho_u = Zero() if isinstance(sigma_u, Zero) else Compose(inv_low, scale(sigma_u, 1.0 / cert.kappa))
-    rho_d = Zero() if isinstance(sigma_d, Zero) else Compose(inv_low, scale(sigma_d, 1.0 / cert.kappa))
     return BoundKit(
-        alpha_low=alpha_low,
-        alpha_high=alpha_high,
-        sigma_u=sigma_u,
-        sigma_d=sigma_d,
-        v_modulus=v_modulus,
-        beta=beta,
-        rho_u=rho_u,
-        rho_d=rho_d,
+        low=0.5 * cert.lambda_min,
+        high=0.5 * n * cert.lambda_max,
+        c_u=n * cert.lu**2 * ssq / cert.kappa if cert.lu > 0 else 0.0,
+        c_d=n * cert.lw**2 * ssq / cert.kappa if cert.lw > 0 else 0.0,
+        c_v=n * cert.lambda_max * diam if diam > 0 else 0.0,
         kappa=cert.kappa,
         hess_sqrt_norm_sq=cert.hess_sqrt_norm_sq,
     )
@@ -282,7 +313,7 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float) -> float:
     sup_u = inf_norm(np.ravel(sys.input_box))
     sup_w2 = inf_norm(np.ravel(sys.dist_box)) ** 2
     k = kit.kappa
-    base_val = kit.beta.base(sup_d2)
+    base_val = kit.beta(sup_d2, 0.0)
     const_val = kit.rho_u(sup_u) + kit.rho_d(sup_w2)
     integral = base_val * (1.0 - math.exp(-k * t)) / k + const_val * t
     factor = (
@@ -293,7 +324,7 @@ def noise_gap_bound(kit: BoundKit, sys: SysModel, t: float) -> float:
         * math.exp(-k * t)
         * sys.lsigma**2
     )
-    return kit.alpha_low.invert(factor * integral)
+    return kit.alpha_low_inv(factor * integral)
 
 
 def neighbor_drift_bound(neighbor_models, t: float) -> float:
@@ -341,7 +372,7 @@ def precision_lower_bound(
     k = kit.kappa
     h = noise_gap_bound(kit, sys, tau)
     num = kit.sigma_d(psi_tau + eps_tilde_norm) / (_E * k) + kit.v_modulus(math.sqrt(h))
-    val = kit.alpha_low.invert(num / (1.0 - math.exp(-k * tau)))
+    val = kit.alpha_low_inv(num / (1.0 - math.exp(-k * tau)))
     return math.sqrt(val)
 
 
@@ -381,7 +412,7 @@ def pitch_terms(
         raise ParameterError(f"omega must be nonnegative, got {omega}")
     k = kit.kappa
     low_val = kit.alpha_low(eps**2)
-    cap_term = kit.alpha_high.invert(low_val)
+    cap_term = kit.alpha_high_inv(low_val)
     decay = 1.0 - math.exp(-k * tau)
     input_term = kit.sigma_u(omega) / (_E * k)
     dist_term = kit.sigma_d(psi_tau + eps_tilde_norm) / (_E * k)
@@ -390,10 +421,10 @@ def pitch_terms(
     gamma_arg = decay * low_val - input_term - dist_term
     if gamma_arg < 0.0:
         gamma_term = -math.inf
-    elif isinstance(kit.v_modulus, Zero):
+    elif kit.c_v == 0.0:
         gamma_term = math.inf
     else:
-        gamma_term = kit.v_modulus.invert(gamma_arg) - sqrt_h
+        gamma_term = kit.v_modulus_inv(gamma_arg) - sqrt_h
     return {
         "alpha_low_eps_sq": low_val,
         "cap_term": cap_term,

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from stochabs import certify, netcomp, sysdsl
-from stochabs.cmpfun import PowerLaw, Zero
-from stochabs.errors import CertificateError, ExprEvalError
+from stochabs.errors import CertificateError, ExprEvalError, InversionError
 from stochabs.expr import Bin, Call, Lit, Neg, Pow, Var, affine_degrees, compile_array, parse_expr, to_source
 from stochabs.sysdsl import SysModel
 from tests.conftest import DATA
@@ -36,6 +35,14 @@ def test_non_spd_rejected():
         certify.QuadraticCertificate.create([[-1.0]], 0.5, lf=1.0)
     with pytest.raises(CertificateError, match="symmetric"):
         certify.QuadraticCertificate.create([[1.0, 0.5], [0.0, 1.0]], 0.5, lf=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_certificate_rejected(bad):
+    with pytest.raises(CertificateError, match="P must have finite entries"):
+        certify.QuadraticCertificate.create([[1.0, bad], [bad, 1.0]], 0.5, lf=1.0)
+    with pytest.raises(CertificateError, match="kappa must be positive and finite"):
+        certify.QuadraticCertificate.create([[1.0]], bad, lf=1.0)
 
 
 def _linear_model(a, gs, box=1.0):
@@ -201,6 +208,9 @@ def test_derived_gain_constants(scalar_kit):
     assert kit.sigma_u(1.0) == pytest.approx(1.0 / 0.875, rel=1e-12)
     assert kit.sigma_u(0.5) == pytest.approx(0.25 / 0.875, rel=1e-12)
     assert kit.sigma_d(1.0) == pytest.approx(1.0 / 0.875, rel=1e-12)
+    # rho(r) = alpha_low^-1(sigma(r) / kappa) = 2 sigma(r) / 0.875
+    assert kit.rho_u(0.5) == pytest.approx(0.5 / 0.875**2, rel=1e-12)
+    assert kit.rho_d(1.0) == pytest.approx(2.0 / 0.875**2, rel=1e-12)
     # lambda_min = lambda_max = 1: both envelopes are r/2
     assert kit.alpha_low(3.0) == 1.5 and kit.alpha_high(3.0) == 1.5
     # beta(r, s) = r * exp(-0.875 s)
@@ -219,9 +229,87 @@ def test_v_modulus_bound_sampled(scalar_model, scalar_cert, scalar_kit):
 
 
 def test_concave_gains(scalar_kit):
-    # generator disturbance gain and the V-modulus must be concave
-    assert isinstance(scalar_kit.sigma_d, PowerLaw) and scalar_kit.sigma_d.exponent <= 1.0
-    assert isinstance(scalar_kit.v_modulus, PowerLaw) and scalar_kit.v_modulus.exponent <= 1.0
+    # generator disturbance gain and the V-modulus must be concave: both are
+    # linear in r, with the kit's positive coefficients
+    kit = scalar_kit
+    assert kit.c_d > 0.0 and kit.c_v > 0.0
+    for r in (0.0, 0.3, 1.0, 7.5):
+        assert kit.sigma_d(r) == kit.c_d * r and kit.v_modulus(r) == kit.c_v * r
+    for a, b in ((0.0, 2.0), (0.5, 4.0)):
+        for gain in (kit.sigma_d, kit.v_modulus):
+            assert gain((a + b) / 2) >= (gain(a) + gain(b)) / 2 - 1e-12
+
+
+def _random_kit(rng):
+    """The kit of a random certificate on a random n-dimensional linear model."""
+    n = int(rng.integers(1, 4))
+    model = _linear_model(-np.eye(n), [], box=float(rng.uniform(0.5, 3.0)))
+    q = rng.normal(size=(n, n))
+    p = q @ q.T + n * np.eye(n)
+    cert = certify.QuadraticCertificate.create(
+        p, rng.uniform(0.1, 2.0), lu=rng.uniform(0.1, 2.0), lw=rng.uniform(0.1, 2.0)
+    )
+    return certify.derive_bounds(model, cert)
+
+
+def test_kit_inverse_round_trips():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        kit = _random_kit(rng)
+        r = 10.0 ** rng.uniform(-3, 2)
+        for gain, inverse in (
+            (kit.alpha_low, kit.alpha_low_inv),
+            (kit.alpha_high, kit.alpha_high_inv),
+            (kit.v_modulus, kit.v_modulus_inv),
+        ):
+            assert gain(0.0) == 0.0 and inverse(0.0) == 0.0 and gain(r) < gain(1.5 * r)
+            assert inverse(gain(r)) == pytest.approx(r, rel=1e-12)
+            assert gain(inverse(r)) == pytest.approx(r, rel=1e-12)
+
+
+def test_kit_refuses_negative_and_nan_arguments(scalar_kit):
+    kit = scalar_kit
+    for bad in (-0.5, math.nan):
+        for gain in (kit.alpha_low, kit.alpha_high, kit.sigma_u, kit.sigma_d,
+                     kit.v_modulus, kit.rho_u, kit.rho_d):
+            with pytest.raises(ValueError):
+                gain(bad)
+        with pytest.raises(ValueError):
+            kit.beta(bad, 1.0)
+        # an overflowed bound reaches an inverse as NaN: a typed error, not a NaN result
+        for inverse in (kit.alpha_low_inv, kit.alpha_high_inv, kit.v_modulus_inv):
+            with pytest.raises(InversionError):
+                inverse(bad)
+
+
+def test_kit_beta_decreases_in_time(scalar_kit):
+    kit = scalar_kit
+    vals = [kit.beta(3.0, s) for s in np.linspace(0.0, 10.0, 50)]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert kit.beta(3.0, 1e6) == 0.0
+    with pytest.raises(ValueError):
+        kit.beta(1.0, -0.5)
+
+
+def test_kit_zero_gains(scalar_det_model):
+    # no input or disturbance mismatch (Lu = Lw = 0): the mismatch gains and
+    # their envelopes vanish, on every argument
+    cert = certify.QuadraticCertificate.create([[1.0]], 1.0, lu=0.0, lw=0.0)
+    kit = certify.derive_bounds(scalar_det_model, cert)
+    assert kit.c_u == kit.c_d == 0.0
+    for r in (0.0, 0.5, 3.0, 1e200, math.inf):
+        for gain in (kit.sigma_u, kit.sigma_d, kit.rho_u, kit.rho_d):
+            assert gain(r) == 0.0
+
+
+def test_zero_width_domain_leaves_the_pitch_to_the_cap(scalar_det_model, det_cert):
+    # a point domain: V's modulus vanishes, so the gamma term sets no limit
+    point = dataclasses.replace(scalar_det_model, domain=((0.25, 0.25),))
+    kit = certify.derive_bounds(point, det_cert)
+    assert kit.c_v == 0.0 and kit.v_modulus(2.0) == 0.0
+    terms = certify.pitch_terms(kit, point, 0.5, 0.5, 0.0)
+    assert terms["gamma_term"] == math.inf
+    assert terms["pitch_bound"] == terms["cap_term"] == kit.alpha_high_inv(kit.alpha_low(0.25))
 
 
 def test_hessian_block_norm(scalar_cert):
@@ -247,7 +335,7 @@ def test_noise_gap_vs_quadrature(scalar_kit, scalar_model):
         integrand = kit.beta(1.0, 0.0) * np.exp(-kit.kappa * s) + kit.rho_u(0.1) + kit.rho_d(1.0)
         integral = np.trapezoid(integrand, s)
         factor = 0.5 * 2.0 * 1 * 1 * math.exp(-kit.kappa * t) * 0.25
-        expected = kit.alpha_low.invert(factor * integral)
+        expected = kit.alpha_low_inv(factor * integral)
         assert certify.noise_gap_bound(kit, m, t) == pytest.approx(expected, rel=1e-6)
 
 

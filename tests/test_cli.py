@@ -351,6 +351,30 @@ VALIDATE_PINS = {
 }
 
 
+# sha256 of certify.csv and params.csv at --tau 0.5 for each system, and of
+# params.csv for each network, from the code that built the gains as composed
+# function objects; the files print every gain, noise gap and pitch term in
+# full precision, so a reordered float operation in a gain changes them
+LEDGER_PINS = {
+    ("certify", "scalar.sys"): "96b4e1f660f2c4b3d5164f7820badbc3116c2e3bb28758e02207ebc86d8a4953",
+    ("certify", "scalar_det.sys"): "6f48c28dd5618caeb031278ae2750624d23676a1094e0188329e51c2df51efac",
+    ("certify", "node.sys"): "ebb5b04d92b281b82b5e96e52e82eec74dcf0b043df62002f623bd8f7ee97cc2",
+    ("params", "scalar.sys"): "30d1b1e877dce7eefc9357e17b8a1f08510616d3fceb469c18289bb0c4383cdc",
+    ("params", "scalar_det.sys"): "c4e8e98a35b0b6393512433924cc70bb74ac927f86c195baeca22bebcb12807d",
+    ("params", "head.sys"): "f5dce74d4aabbc93bc1f9059321d848f5bbefe58f27a221a9027d154b4ac7695",
+    ("params", "pair.net"): "d1b1b58e55078358edc47556e7a35c3990213d1def97aa3efd3f26413ca4e5be",
+    ("params", "tri.net"): "79fd44d61c40b7103652fde6a2fd6637da0d70710c9f33662cfdb58d00c700ac",
+}
+
+
+@pytest.mark.parametrize("command, file", list(LEDGER_PINS), ids="-".join)
+def test_certify_and_params_ledgers_are_pinned(command, file, tmp_path):
+    tau = ["--tau", "0.5"] if file.endswith(".sys") else []
+    assert main([command, str(DATA / file), *tau, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{command}.csv").read_bytes()).hexdigest()
+    assert digest == LEDGER_PINS[command, file]
+
+
 def _count_ensemble_passes(monkeypatch):
     """Record the simulate_ensemble calls and the group count of every simulate_groups call."""
     ensembles, groups = [], []
@@ -854,6 +878,27 @@ def test_non_numeric_eps_tilde_is_usage_error(tmp_path, capsys):
     assert main(["bisim", left, left, "--eps", "0.3", "--eps-tilde", "abc"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --eps-tilde expects space-separated reals") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", SCALAR, "--tau", "0.5"],
+        ["validate", SCALAR, "--tau", "0.5"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.13", "--omega", "0.1", "--eps", "3.2"],
+        ["abstract", SCALAR, "--tau", "0.5", "--eta", "0.13", "--omega", "0.1", "--eps", "3.2", "--force"],
+    ],
+    ids=["certify", "validate", "abstract", "abstract-force"],
+)
+def test_non_finite_certificate_matrix_is_usage_error(argv, value, tmp_path, capsys):
+    if argv[0] != "certify":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy sees it: no RuntimeWarning
+        assert main([*argv, "--kappa", "1", f"--P={value}"]) == 2
+    assert capsys.readouterr().err == "error: P must have finite entries\n"
+    assert not list(tmp_path.rglob("*.abs")) and not list(tmp_path.rglob("*.csv"))
 
 
 def test_non_numeric_certificate_matrix_is_usage_error(capsys):
